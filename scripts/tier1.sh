@@ -9,9 +9,9 @@
 # and recovery paths are where lifetime bugs would hide.
 #
 # --tsan additionally builds a ThreadSanitizer tree (build-tsan) and runs
-# the parallel-submission, fast-path and fault-injection tests under it —
-# the sharded submission paths (DESIGN.md §11) are where data races would
-# hide.
+# the parallel-submission, concurrency, fast-path and fault-injection tests
+# under it — multi-threaded submission under the context mutex (DESIGN.md
+# §11) is where data races would hide.
 #
 # --bench-smoke additionally runs every --json benchmark once and diffs the
 # set of JSON record keys against the checked-in BENCH_*.json baselines —
@@ -174,14 +174,17 @@ if [[ "$tsan" == 1 ]]; then
   tsan_build="$repo/build-tsan"
   cmake -S "$repo" -B "$tsan_build" -DREPRO_TSAN=ON
   cmake --build "$tsan_build" -j "$jobs" \
-    --target test_parallel_submit test_fastpath test_fault_injection \
-             test_deadline test_submit_pipeline
+    --target test_parallel_submit test_concurrency_api test_fastpath \
+             test_fault_injection test_deadline test_submit_pipeline
   TSAN_OPTIONS=halt_on_error=1 "$tsan_build/tests/test_parallel_submit"
+  # Raw std::thread submission into one context: the path every
+  # multi-threaded submission takes.
+  TSAN_OPTIONS=halt_on_error=1 "$tsan_build/tests/test_concurrency_api"
   TSAN_OPTIONS=halt_on_error=1 "$tsan_build/tests/test_fastpath"
   TSAN_OPTIONS=halt_on_error=1 "$tsan_build/tests/test_fault_injection"
   # Parallel submission racing backpressure, cancellation and restart.
   TSAN_OPTIONS=halt_on_error=1 "$tsan_build/tests/test_deadline"
   # MT workers entering/leaving the fast path around observer attach and
-  # detach — where a race between emission and the gate would hide.
+  # detach — where a race between emission and submission would hide.
   TSAN_OPTIONS=halt_on_error=1 "$tsan_build/tests/test_submit_pipeline"
 fi

@@ -22,23 +22,10 @@ const char* timeline::intern(std::string_view name) {
 
 op_node* timeline::make_node(std::string_view name, int device, engine* eng,
                              double duration, task_fn body) {
-  // Pop from the calling thread's recycle shard first (cache affinity under
-  // multi-threaded submission), then steal from any other shard.
-  auto pop_recycled = [this]() -> op_node* {
-    const std::size_t home =
-        static_cast<std::size_t>(thread_slot()) % free_shard_count;
-    for (std::size_t i = 0; i < free_shard_count; ++i) {
-      auto& shard = free_shards_[(home + i) % free_shard_count];
-      if (!shard.empty()) {
-        op_node* n = shard.back();
-        shard.pop_back();
-        return n;
-      }
-    }
-    return nullptr;
-  };
-  op_node* node = pop_recycled();
-  if (node != nullptr) {
+  op_node* node = nullptr;
+  if (!free_.empty()) {
+    node = free_.back();
+    free_.pop_back();
     ++pooled_;
     node->unmet = 0;
     node->submitted = false;
@@ -272,16 +259,13 @@ void timeline::gc() {
   // prefix covered by the last mark_collected() is recycled — nodes retired
   // after the last handle sweep may still be referenced by an event on
   // another thread, and resurrecting them would corrupt its lock-free
-  // query(). Recycled nodes land in the calling thread's shard.
+  // query().
   const std::size_t n = std::min(collected_, retired_.size());
   if (n == 0) {
     return;
   }
-  auto& home =
-      free_shards_[static_cast<std::size_t>(thread_slot()) % free_shard_count];
-  home.reserve(home.size() + n);
-  home.insert(home.end(), retired_.begin(),
-              retired_.begin() + static_cast<std::ptrdiff_t>(n));
+  free_.insert(free_.end(), retired_.begin(),
+               retired_.begin() + static_cast<std::ptrdiff_t>(n));
   retired_.erase(retired_.begin(),
                  retired_.begin() + static_cast<std::ptrdiff_t>(n));
   collected_ = 0;

@@ -12,7 +12,6 @@
 // in a small-buffer callable, and successor edges use inline storage.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -34,17 +33,6 @@ namespace cudasim {
 
 /// Virtual time in seconds.
 using timepoint = double;
-
-/// Small dense identifier for the calling thread, assigned on first use and
-/// stable for the thread's lifetime. Used to shard thread-affine resources
-/// (node recycle pools, per-thread stat cells, stream striping) without a
-/// registry. Slots are never reused; shard consumers reduce modulo their
-/// shard count.
-inline int thread_slot() noexcept {
-  static std::atomic<int> next{0};
-  thread_local const int slot = next.fetch_add(1, std::memory_order_relaxed);
-  return slot;
-}
 
 /// Hardware resource classes an operation can occupy.
 enum class engine_kind : std::uint8_t {
@@ -387,17 +375,10 @@ class timeline {
   void complete(op_node* node);
 
   static constexpr std::size_t slab_nodes = 256;
-  /// Recycle pools are sharded by thread_slot(): a submitting thread reuses
-  /// nodes it (or the thread draining on its behalf) retired, keeping hot
-  /// nodes in the local cache under multi-threaded submission. All shard
-  /// access still happens under the platform lock — the sharding is an
-  /// affinity optimization, not a synchronization mechanism.
-  static constexpr std::size_t free_shard_count = 8;
 
   std::vector<op_node*> slabs_;          ///< slab base pointers (owned)
   std::size_t slab_used_ = slab_nodes;   ///< forces first-slab allocation
-  std::array<std::vector<op_node*>, free_shard_count>
-      free_shards_;                      ///< recycled nodes ready for reuse
+  std::vector<op_node*> free_;           ///< recycled nodes ready for reuse
   std::vector<op_node*> retired_;        ///< completed, awaiting gc()
   std::size_t collected_ = 0;            ///< retired prefix safe to recycle
   std::unordered_set<std::string, sv_hash, sv_eq> names_;

@@ -3,7 +3,6 @@
 // runtime + driver in this reproduction (see DESIGN.md §1).
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cstddef>
 #include <functional>
@@ -101,10 +100,8 @@ double kernel_cost_seconds(const device_desc& d, const kernel_desc& k);
 /// The simulated machine. Thread-safe for submission: a single mutex
 /// serializes the stateful API calls (mirroring the driver lock), while the
 /// hottest per-task reads bypass it — current_device() and faults_armed()
-/// are lock-free atomics, event registration is sharded, and event::query()
-/// reads atomic completion flags. The critical sections are short (one node
-/// creation plus wiring), so concurrent submitters from many host threads
-/// contend only briefly (DESIGN.md §11).
+/// are lock-free atomics, event registration takes its own registry mutex,
+/// and event::query() reads atomic completion flags (DESIGN.md §11).
 class platform {
  public:
   /// Builds a homogeneous machine of `num_devices` copies of `desc`.
@@ -274,10 +271,10 @@ class platform {
   engine& host_engine() { return host_engine_; }
   void register_stream(stream* s) { streams_.insert(s); }
   void unregister_stream(stream* s) { streams_.erase(s); }
-  /// Event registration is sharded by handle address: the per-task event
-  /// ctor/dtor on the multi-threaded fast path locks only its shard, never
-  /// the driver lock. Lock order is driver lock -> shard (collect_handles);
-  /// registration takes a shard lock alone, so the order never inverts.
+  /// Event registration takes only the registry mutex, never the driver
+  /// lock: an event handle may be destroyed on any thread. Lock order is
+  /// driver lock -> registry mutex (collect_handles); registration takes
+  /// the registry mutex alone, so the order never inverts.
   void register_event(event* e);
   void unregister_event(event* e);
   /// Drops handle pointers to completed nodes so drain() can reclaim them,
@@ -324,16 +321,6 @@ class platform {
   /// on a refused op never leaks into a later one.
   bool take_pending_flip(flip_request* out);
 
-  struct event_shard {
-    std::mutex mu;
-    std::unordered_set<event*> events;
-  };
-  static constexpr std::size_t event_shard_count = 16;
-  event_shard& shard_of(const event* e) {
-    return event_shards_[(reinterpret_cast<std::uintptr_t>(e) >> 6) %
-                         event_shard_count];
-  }
-
   std::vector<std::unique_ptr<device_state>> devices_;
   engine host_engine_{engine_kind::host};
   timeline tl_;
@@ -344,7 +331,8 @@ class platform {
   bool copy_payloads_ = true;
   double host_memcpy_bw_ = 50.0e9;
   std::unordered_set<stream*> streams_;
-  std::array<event_shard, event_shard_count> event_shards_;
+  std::mutex events_mu_;
+  std::unordered_set<event*> events_;  ///< guarded by events_mu_
   std::shared_ptr<fault_injector> injector_;
   std::atomic<bool> has_injector_{false};
   bool alloc_fault_pending_ = false;

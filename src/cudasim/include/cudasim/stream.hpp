@@ -2,12 +2,12 @@
 //
 // Thread-safety: all mutating operations take the platform lock internally.
 // event::query() is the one lock-free read (it backs event_list pruning on
-// the multi-threaded submission fast path); it reads the atomic node pointer
-// and the node's atomic completion flag, and is conservative — a stale
-// pointer to a recycled node yields `false`, never a false `true`, and the
-// result is monotonic (once true, always true). Concurrent submissions to
-// the *same* stream must be serialized externally (the STF stream backend
-// holds a per-stream mutex); different streams need no coordination.
+// the submission path); it reads the atomic node pointer and the node's
+// atomic completion flag, and is conservative — a stale pointer to a
+// recycled node yields `false`, never a false `true`, and the result is
+// monotonic (once true, always true). Concurrent submissions to the *same*
+// stream must be serialized externally (the STF layer submits under its
+// context mutex); different streams need no coordination.
 #pragma once
 
 #include <atomic>

@@ -774,26 +774,25 @@ void platform::synchronize() {
 }
 
 void platform::register_event(event* e) {
-  event_shard& sh = shard_of(e);
-  std::lock_guard lock(sh.mu);
-  sh.events.insert(e);
+  std::lock_guard lock(events_mu_);
+  events_.insert(e);
 }
 
 void platform::unregister_event(event* e) {
-  event_shard& sh = shard_of(e);
-  std::lock_guard lock(sh.mu);
-  sh.events.erase(e);
+  std::lock_guard lock(events_mu_);
+  events_.erase(e);
 }
 
 void platform::collect_handles() {
-  // Called with mu_ held. Shard locks nest inside the driver lock; event
-  // registration takes only its shard lock, so the order never inverts.
+  // Called with mu_ held. The registry mutex nests inside the driver lock;
+  // event registration takes only the registry mutex, so the order never
+  // inverts.
   for (stream* s : streams_) {
     s->drop_completed();
   }
-  for (event_shard& sh : event_shards_) {
-    std::lock_guard lock(sh.mu);
-    for (event* e : sh.events) {
+  {
+    std::lock_guard lock(events_mu_);
+    for (event* e : events_) {
       e->drop_completed();
     }
   }

@@ -126,9 +126,9 @@ void stream::drop_completed() {
   }
 }
 
-// Event registration goes through the platform's sharded registry, which
-// locks internally: the per-task event ctor/dtor on the multi-threaded
-// submission path contends only on its shard, never on the platform lock.
+// Event registration goes through the platform's event registry, which
+// locks its own mutex: an event may be created or destroyed on any thread
+// without the platform lock.
 event::event(platform& p) : plat_(&p) { p.register_event(this); }
 
 event::~event() {

@@ -1,9 +1,7 @@
-// Graph backend. Threading contract (DESIGN.md §11): concurrent_safe()
-// returns false — stream capture funnels every op through one graph under
-// construction, so there can be only one capturer. Under parallel_submit
-// every graph-backend task therefore takes the structural path and runs
-// with the submission gate held exclusively; nothing here needs its own
-// locking, and the plain stats_ counters stay data-race free.
+// Graph backend. Threading contract (DESIGN.md §11): stream capture funnels
+// every op through one graph under construction, so there is one capturer
+// at a time — every call arrives under the context mutex, nothing here
+// needs its own locking, and the plain stats_ counters stay data-race free.
 #include <cstdint>
 #include <stdexcept>
 

@@ -26,59 +26,34 @@ stream_backend::stream_backend(cudasim::platform& p, stream_pool_mode mode,
     per_device& pd = dev_[static_cast<std::size_t>(d)];
     for (int i = 0; i < n_compute; ++i) {
       pd.compute.push_back(std::make_unique<cudasim::stream>(p, d));
-      pd.compute_mu.push_back(std::make_unique<std::mutex>());
     }
     for (int i = 0; i < n_copy; ++i) {
       pd.copy.push_back(std::make_unique<cudasim::stream>(p, d));
-      pd.copy_mu.push_back(std::make_unique<std::mutex>());
     }
     pd.alloc = std::make_unique<cudasim::stream>(p, d);
   }
   host_stream_ = std::make_unique<cudasim::stream>(p, 0);
 }
 
-stream_backend::picked stream_backend::pick(int device, channel ch) {
+cudasim::stream& stream_backend::pick(int device, channel ch) {
   if (ch == channel::host) {
-    // Host-channel submissions (host_launch, deferred frees) always come
-    // through the exclusive gate, so the host stream needs no mutex.
-    return {host_stream_.get(), nullptr};
+    return *host_stream_;
   }
   per_device& pd = dev_.at(static_cast<std::size_t>(device));
-  if (concurrent_.load(std::memory_order_acquire)) {
-    // Stripe by submitting thread: each thread keeps a stable stream per
-    // device, preserving its own program order on that stream and avoiding
-    // a shared round-robin cursor. The per-stream mutex serializes the
-    // occasional collision.
-    const auto slot = static_cast<std::size_t>(cudasim::thread_slot());
-    if (ch == channel::transfer && !pd.copy.empty()) {
-      const std::size_t i = slot % pd.copy.size();
-      return {pd.copy[i].get(), pd.copy_mu[i].get()};
-    }
-    const std::size_t i = slot % pd.compute.size();
-    return {pd.compute[i].get(), pd.compute_mu[i].get()};
-  }
   if (ch == channel::transfer && !pd.copy.empty()) {
     cudasim::stream& s = *pd.copy[pd.next_copy];
     pd.next_copy = (pd.next_copy + 1) % pd.copy.size();
-    return {&s, nullptr};
+    return s;
   }
   cudasim::stream& s = *pd.compute[pd.next_compute];
   pd.next_compute = (pd.next_compute + 1) % pd.compute.size();
-  return {&s, nullptr};
+  return s;
 }
 
 event_ptr stream_backend::run(int device, channel ch, const event_list& deps,
                               const std::function<void(cudasim::stream&)>& payload,
                               std::string_view /*name*/, run_result* rr) {
-  const picked pk = pick(device, ch);
-  // Hold the stream for the whole submission (deps -> payload -> record):
-  // interleaving two tasks on one in-order stream would let the later
-  // record() capture the earlier task's tail, scrambling event identity.
-  std::unique_lock<std::mutex> serial;
-  if (pk.mu != nullptr) {
-    serial = std::unique_lock<std::mutex>(*pk.mu);
-  }
-  cudasim::stream& s = *pk.s;
+  cudasim::stream& s = pick(device, ch);
   // Wire all dependencies with one fused join instead of one marker per
   // event (pruned lists are tiny; 16 covers everything the STF layer emits).
   const cudasim::event* wait_buf[16];
@@ -97,7 +72,7 @@ event_ptr stream_backend::run(int device, channel ch, const event_list& deps,
   if (nwait != 0) {
     s.wait_events(wait_buf, nwait);
   }
-  deps_wired_hot_ += deps.size();
+  stats_.deps_wired += deps.size();
   // Snapshot the stream tail after dep wiring so a fault status set during
   // the payload can be classified: tail unchanged (or only a pure marker
   // such as the retry-backoff node, real_work == false) means the refusal
@@ -122,7 +97,7 @@ event_ptr stream_backend::run(int device, channel ch, const event_list& deps,
   }
   auto out = std::make_shared<stream_event>(*plat_);
   out->ev.record(s);
-  tasks_hot_ += 1;
+  ++stats_.tasks;
   return out;
 }
 

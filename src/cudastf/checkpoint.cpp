@@ -23,10 +23,8 @@
 // operation deterministically (fail-stop refuses at submission, never
 // mid-flight).
 //
-// Threading contract (DESIGN.md §11): a context with checkpointing enabled
-// never takes the concurrent fast path (epoch boundaries are global), so
-// this engine always runs with the submission gate held exclusively.
-// Deterministic-order parallel_submit preserves the single-thread epoch
+// Threading contract (DESIGN.md §11): this engine always runs under the
+// context mutex. Deterministic-order parallel_submit preserves the single-thread epoch
 // numbering, which is what makes replay-after-restart bit-identical.
 #include <cstring>
 #include <new>

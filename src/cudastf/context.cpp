@@ -94,9 +94,6 @@ void add_dep_traffic(cudasim::kernel_desc& k, const task_dep_untyped& dep,
 data_impl_ptr context::register_impl(std::vector<std::size_t> extents,
                                      std::size_t elem_size, void* host_ptr,
                                      std::string name) {
-  // Registration mutates the registry and adoption state: structural, so it
-  // excludes fast-path submitters while workers are live (DESIGN.md §11).
-  detail::gate_exclusive xg(st_->gate, mt());
   std::lock_guard lock(st_->mu);
   auto impl = std::make_shared<logical_data_impl>(
       st_, std::move(extents), elem_size, host_ptr, std::move(name));
@@ -188,7 +185,6 @@ void context_state::order_record(std::string_view symbol,
 }
 
 error_report context::finalize() {
-  detail::gate_exclusive xg(st_->gate, mt());
   std::unique_lock lock(st_->mu);
   if (st_->dl != nullptr) [[unlikely]] {
     // Drain deadline (DESIGN.md §12): resolve tracked submissions — cancel,

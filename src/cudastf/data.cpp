@@ -159,7 +159,7 @@ event_list acquire_dep(context_state& st, const task_dep_untyped& dep,
   data_instance& inst = d.instance_at(resolved);
   inst.pinned = true;
   inst.prev_use = inst.last_use;
-  inst.last_use = st.use_counter.fetch_add(1, std::memory_order_relaxed) + 1;
+  inst.last_use = ++st.use_counter;
 
   // allocate: make sure the instance has backing at this place.
   if (!inst.allocated) {
@@ -250,10 +250,6 @@ event_list write_back_host(context_state& st, logical_data_impl& d) {
 }
 
 logical_data_impl::~logical_data_impl() {
-  // Destruction is structural: it rewrites instance lists and issues
-  // write-backs, so it excludes fast-path submitters first (DESIGN.md §11).
-  detail::gate_exclusive xg(st_->gate,
-                            st_->mt_active.load(std::memory_order_acquire));
   std::lock_guard lock(st_->mu);
   // Write back to the application's memory before device copies vanish. A
   // failing write-back is recorded as data_lost, never thrown (§5) — a

@@ -5,11 +5,9 @@
 // memoizing executable graphs across epochs (§III-B).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -18,7 +16,6 @@
 #include "cudasim/cudasim.hpp"
 #include "cudastf/error.hpp"
 #include "cudastf/events.hpp"
-#include "cudastf/threading.hpp"
 
 namespace cudastf {
 
@@ -179,17 +176,6 @@ class backend_iface {
   /// Blocks until every operation ever submitted has completed.
   virtual void wait_idle() = 0;
 
-  /// True when run() may be called from several threads at once (DESIGN.md
-  /// §11). The stream backend serializes same-stream submissions with a
-  /// per-stream mutex and is safe; the graph backend records into one
-  /// capture graph per epoch and enforces a single-capturer rule, so its
-  /// submissions always take the exclusive gate.
-  virtual bool concurrent_safe() const { return false; }
-
-  /// Hint that multi-threaded submission is starting/stopping; backends use
-  /// it to engage per-stream locking and thread striping. Default: ignore.
-  virtual void set_concurrent(bool) {}
-
   /// Propagates the context's retry policy (ctx.set_retry_policy()); the
   /// graph backend applies it to refused epoch relaunches. Default: ignore.
   virtual void set_retry_policy(const retry_policy&) {}
@@ -198,30 +184,13 @@ class backend_iface {
   /// down immediately, least recently launched first). Default: ignore.
   virtual void set_exec_cache_capacity(std::size_t) {}
 
-  /// Aggregated counter snapshot. The two hot-path counters (`tasks`,
-  /// `deps_wired`) accumulate in per-thread cells and are summed into the
-  /// snapshot here; everything else increments under the exclusive gate and
-  /// is copied as-is. Call from one thread at a time, quiesced relative to
-  /// slow-path submissions (tests read stats after joining workers).
-  const backend_stats& stats() const {
-    std::lock_guard lock(snap_mu_);
-    snap_ = stats_;
-    snap_.tasks += tasks_hot_.load();
-    snap_.deps_wired += deps_wired_hot_.load();
-    return snap_;
-  }
+  /// Counter snapshot. Every counter increments under the context mutex;
+  /// read while quiescent (tests read stats after joining workers).
+  const backend_stats& stats() const { return stats_; }
   backend_stats& mutable_stats() { return stats_; }
 
  protected:
   backend_stats stats_;
-  /// Per-thread cells for the counters every submission touches; safe to
-  /// bump while holding only data stripes (satellite: race-free stats).
-  detail::relaxed_counter tasks_hot_;
-  detail::relaxed_counter deps_wired_hot_;
-
- private:
-  mutable std::mutex snap_mu_;
-  mutable backend_stats snap_;
 };
 
 /// CUDA-stream backend: per-device pools of compute streams and copy
@@ -244,44 +213,22 @@ class stream_backend final : public backend_iface {
   void fence() override {}
   void wait_idle() override;
 
-  /// Safe: concurrent run() calls serialize per stream (a mutex paired with
-  /// each pooled stream), and in concurrent mode streams are striped by
-  /// submitting thread so distinct threads mostly use distinct streams.
-  bool concurrent_safe() const override { return true; }
-  void set_concurrent(bool on) override {
-    concurrent_.store(on, std::memory_order_release);
-  }
-
  private:
   struct per_device {
     std::vector<std::unique_ptr<cudasim::stream>> compute;
     std::vector<std::unique_ptr<cudasim::stream>> copy;
-    /// One mutex per pooled stream (parallel arrays): run() holds the picked
-    /// stream's mutex across wire-deps -> payload -> record while
-    /// concurrent, so same-stream submissions keep their in-order program
-    /// semantics and the stream's sticky status stays thread-consistent.
-    std::vector<std::unique_ptr<std::mutex>> compute_mu;
-    std::vector<std::unique_ptr<std::mutex>> copy_mu;
     std::unique_ptr<cudasim::stream> alloc;
     std::size_t next_compute = 0;
     std::size_t next_copy = 0;
   };
 
-  struct picked {
-    cudasim::stream* s;
-    std::mutex* mu;  ///< null for streams never shared across threads
-  };
-  picked pick(int device, channel ch);
+  /// Round-robin over the device's pool for `ch` (the host stream for the
+  /// host channel).
+  cudasim::stream& pick(int device, channel ch);
 
   cudasim::platform* plat_;
   std::vector<per_device> dev_;
   std::unique_ptr<cudasim::stream> host_stream_;
-  /// Concurrent-submission mode: pick() stripes by thread slot instead of
-  /// round-robin (round-robin would need atomics and would interleave one
-  /// thread's tasks across all streams), and run() locks the stream mutex.
-  /// Single-thread submission keeps the exact pre-existing stream rotation,
-  /// which dominance pruning relies on.
-  std::atomic<bool> concurrent_{false};
 };
 
 /// CUDA-graph backend: operations of one epoch are recorded as graph nodes;
@@ -302,14 +249,6 @@ class graph_backend final : public backend_iface {
   void wait(const event_list& l) override;
   void fence() override;
   void wait_idle() override;
-
-  /// Single-capturer rule (DESIGN.md §11): an epoch records into one shared
-  /// capture graph whose node list, FNV summary and capture tails are all
-  /// epoch-global, so only one thread may capture at a time. Returning
-  /// false routes every submission through the exclusive gate, which
-  /// serializes capturers; parallel_submit() on a graph context is then
-  /// correct (and with deterministic order, bit-identical) but not faster.
-  bool concurrent_safe() const override { return false; }
 
   void set_retry_policy(const retry_policy& p) override { retry_ = p; }
   void set_exec_cache_capacity(std::size_t n) override;

@@ -140,11 +140,9 @@ class context {
   // --- parallel host-side submission (§VII-E, DESIGN.md §11) ---
 
   /// Runs `fn(item)` for every item in [0, n_items) from `n_threads` host
-  /// threads (item i handled by thread i % n_threads), with the context in
-  /// multi-threaded submission mode: eligible ctx.task() submissions take a
-  /// sharded fast path (per-data stripe locks, striped backend streams)
-  /// instead of the context lock; everything structural still serializes
-  /// through the exclusive gate, so any STF call is safe from the workers.
+  /// threads (item i handled by thread i % n_threads). Every STF call takes
+  /// the context mutex, so any of them is safe from the workers; the
+  /// simulator and the pipeline run one submission at a time.
   ///
   /// Under set_deterministic_order(true), workers hand off through a ticket
   /// turnstile so submissions retire in exact item order — the resulting
@@ -163,8 +161,6 @@ class context {
       return;
     }
     const bool det = st_->deterministic_order;
-    st_->backend->set_concurrent(true);
-    st_->mt_active.store(true, std::memory_order_release);
     std::atomic<std::size_t> turn{0};
     std::atomic<bool> stop{false};
     std::exception_ptr first_error;
@@ -216,8 +212,6 @@ class context {
     for (std::thread& th : workers) {
       th.join();
     }
-    st_->mt_active.store(false, std::memory_order_release);
-    st_->backend->set_concurrent(false);
     if (first_error) {
       std::rethrow_exception(first_error);
     }
@@ -242,7 +236,6 @@ class context {
   /// the memory engine's cached blocks back to the platform (DESIGN.md §9)
   /// so pool accounting is exact across epochs.
   void fence() {
-    detail::gate_exclusive xg(st_->gate, mt());
     std::lock_guard lock(st_->mu);
     st_->mem.trim_all(*st_);
     try {
@@ -277,7 +270,6 @@ class context {
   /// virtual-time backoff). Also governs the graph backend's epoch-launch
   /// relaunch loop.
   void set_retry_policy(const retry_policy& p) {
-    detail::gate_exclusive xg(st_->gate, mt());
     std::lock_guard lock(st_->mu);
     st_->retry = p;
     st_->backend->set_retry_policy(p);
@@ -290,7 +282,6 @@ class context {
   /// evacuated to the host while device-to-host copies are still allowed,
   /// then future work is re-routed to the surviving devices.
   void blacklist_device(int device) {
-    detail::gate_exclusive xg(st_->gate, mt());
     std::lock_guard lock(st_->mu);
     st_->blacklist_device(device);
   }
@@ -304,7 +295,6 @@ class context {
   /// -> quarantine the hanging device -> epoch restart -> poison-cancel
   /// with a cause chain naming the stuck predecessors).
   void set_default_deadline(double seconds) {
-    detail::gate_exclusive xg(st_->gate, mt());
     std::lock_guard lock(st_->mu);
     st_->ensure_dl().default_deadline = seconds;
   }
@@ -314,14 +304,12 @@ class context {
   /// max_pending_bytes touched bytes are in flight; ctx.try_task()
   /// submissions shed with overload_error instead. 0 = unlimited.
   void limits(task_limits lim) {
-    detail::gate_exclusive xg(st_->gate, mt());
     std::lock_guard lock(st_->mu);
     st_->ensure_dl().limits = lim;
   }
 
   /// Hang strikes a device survives before quarantine (default 2).
   void set_quarantine_after(int strikes) {
-    detail::gate_exclusive xg(st_->gate, mt());
     std::lock_guard lock(st_->mu);
     st_->ensure_dl().quarantine_after = strikes;
   }
@@ -339,7 +327,6 @@ class context {
   /// epoch-0 snapshot). Fully gated off when never called: disabled
   /// contexts pay a single null-pointer check per submission.
   void enable_checkpointing(checkpoint_options opts = {}) {
-    detail::gate_exclusive xg(st_->gate, mt());
     std::lock_guard lock(st_->mu);
     st_->ckpt = std::make_unique<checkpoint_manager>(*st_, opts);
     st_->sweep_registry();
@@ -353,7 +340,6 @@ class context {
   /// Drops the checkpoint manager (snapshots, submission log, restart
   /// budget). Outstanding snapshot copies are drained first.
   void disable_checkpointing() {
-    detail::gate_exclusive xg(st_->gate, mt());
     std::lock_guard lock(st_->mu);
     st_->ckpt.reset();
   }
@@ -362,7 +348,6 @@ class context {
   /// take_checkpoint). Returns false when checkpointing is disabled or the
   /// attempt was aborted by a refused snapshot copy.
   bool checkpoint() {
-    detail::gate_exclusive xg(st_->gate, mt());
     std::lock_guard lock(st_->mu);
     return st_->ckpt != nullptr && st_->ckpt->take_checkpoint();
   }
@@ -379,7 +364,6 @@ class context {
   /// trust-on-first-use window. Never calling this leaves every hook at a
   /// single null-pointer check — the disarmed fast path is untouched.
   integrity_config& integrity_options() {
-    detail::gate_exclusive xg(st_->gate, mt());
     std::lock_guard lock(st_->mu);
     if (st_->integ == nullptr) {
       st_->integ = std::make_unique<integrity_engine>();
@@ -398,7 +382,6 @@ class context {
   /// like a trust-boundary detection. Returns the number of replicas
   /// verified; 0 when the integrity engine is disarmed.
   std::size_t scrub() {
-    detail::gate_exclusive xg(st_->gate, mt());
     std::lock_guard lock(st_->mu);
     return st_->integ == nullptr ? 0 : st_->integ->scrub(*st_);
   }
@@ -413,7 +396,6 @@ class context {
   /// otherwise hang the DES (the watchdog would catch it only at drain
   /// time).
   void order_after(std::string before, std::string after) {
-    detail::gate_exclusive xg(st_->gate, mt());
     std::lock_guard lock(st_->mu);
     st_->declare_order(std::move(before), std::move(after));
   }
@@ -424,17 +406,15 @@ class context {
   /// submission with its terminal op_record (completed, cancelled or
   /// failed), under the context lock. The observer must outlive the
   /// context or be detached with unobserve(). While any observer is
-  /// attached, submissions are structural: they leave the §11 lock-free
-  /// fast path (fast_path_submits() stops advancing).
+  /// attached, submissions leave the disarmed fast path
+  /// (fast_path_submits() stops advancing).
   void observe(submit_observer& obs) {
-    detail::gate_exclusive xg(st_->gate, mt());
     std::lock_guard lock(st_->mu);
     st_->observers.push_back(&obs);
   }
 
   /// Detaches a previously registered observer (no-op if absent).
   void unobserve(submit_observer& obs) {
-    detail::gate_exclusive xg(st_->gate, mt());
     std::lock_guard lock(st_->mu);
     auto& v = st_->observers;
     for (std::size_t i = 0; i < v.size(); ++i) {
@@ -449,7 +429,6 @@ class context {
   /// Equivalent to setting CUDASTF_DOT_FILE, minus the finalize()-time
   /// auto-write: render with dot_export(path) whenever convenient.
   dot_exporter& enable_dot() {
-    detail::gate_exclusive xg(st_->gate, mt());
     std::lock_guard lock(st_->mu);
     if (st_->dot == nullptr) {
       st_->dot = std::make_unique<dot_exporter>();
@@ -463,7 +442,6 @@ class context {
   /// CUDASTF's CUDASTF_DOT_FILE view). False when no exporter is armed
   /// (enable_dot() / CUDASTF_DOT_FILE) or the file could not be written.
   bool dot_export(const std::string& path) {
-    detail::gate_exclusive xg(st_->gate, mt());
     std::lock_guard lock(st_->mu);
     return st_->dot != nullptr && st_->dot->write(path);
   }
@@ -474,7 +452,6 @@ class context {
   /// launched epochs are destroyed first, counted in stats().
   /// graph_execs_evicted). No-op on the stream backend.
   void set_graph_cache_capacity(std::size_t n) {
-    detail::gate_exclusive xg(st_->gate, mt());
     std::lock_guard lock(st_->mu);
     st_->backend->set_exec_cache_capacity(n);
   }
@@ -502,16 +479,13 @@ class context {
 
   /// Redundant dependency events pruned on the submission fast path
   /// (duplicates, completed, same-stream dominated; see DESIGN.md).
-  std::uint64_t events_pruned() const { return st_->events_pruned.load(); }
+  std::uint64_t events_pruned() const { return st_->events_pruned; }
 
-  /// Submissions that took the sharded fast path during parallel_submit
-  /// (eligibility introspection; see DESIGN.md §11).
-  std::uint64_t fast_path_submits() const { return st_->fast_submits.load(); }
+  /// Task submissions the pipeline ran with no engine or observer armed,
+  /// from any thread (see DESIGN.md §11).
+  std::uint64_t fast_path_submits() const { return st_->fast_submits; }
 
  private:
-  /// Whether the exclusive gate must engage (workers are live right now).
-  bool mt() const { return st_->mt_active.load(std::memory_order_acquire); }
-
   template <class E, int R>
   cudastf::logical_data<slice<E, R>> from_ptr(E* p,
                                               std::vector<std::size_t> ext,

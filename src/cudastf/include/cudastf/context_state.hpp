@@ -3,8 +3,6 @@
 // backend to talk to (§IV-D).
 #pragma once
 
-#include <array>
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -21,7 +19,6 @@
 #include "cudastf/events.hpp"
 #include "cudastf/integrity.hpp"
 #include "cudastf/mem_engine.hpp"
-#include "cudastf/threading.hpp"
 #include "cudastf/transfer.hpp"
 
 namespace cudastf {
@@ -39,45 +36,18 @@ struct context_state {
   cudasim::platform* plat = nullptr;
   std::unique_ptr<backend_iface> backend;
 
-  /// Serializes task submission; multiple CPU threads may inject tasks
-  /// concurrently (§VII-E). Slow-path submissions and structural operations
-  /// still take this lock; fast-path submissions under parallel_submit()
-  /// bypass it (see `gate` / `data_stripes` below and DESIGN.md §11).
+  /// The context mutex (DESIGN.md §11): every submission, from any thread,
+  /// and every structural operation — fence, finalize, registration,
+  /// destruction, engine configuration — runs under it, so multiple CPU
+  /// threads may inject tasks concurrently (§VII-E). Recursive because
+  /// structural operations nest (finalize -> restart -> replay -> task).
   std::recursive_mutex mu;
-
-  // --- parallel submission (DESIGN.md §11) ---
-
-  /// True while parallel_submit() workers are live. Every structural entry
-  /// point checks this one relaxed flag; single-threaded contexts pay a
-  /// branch and nothing else.
-  std::atomic<bool> mt_active{false};
-
-  /// Reader-writer gate: fast-path submissions hold it shared (they touch
-  /// only their deps' stripes plus thread-safe backend/platform state);
-  /// everything structural — fence, finalize, registration, destruction,
-  /// allocation, recovery, checkpoint/integrity/order config, slow-path
-  /// submissions — holds it exclusive, so the pre-existing single-threaded
-  /// code bodies run unchanged under it. Engaged only while mt_active.
-  detail::submit_gate gate;
 
   /// Deterministic-order mode (ctx.set_deterministic_order()): worker
   /// threads in parallel_submit() hand off through a ticket turnstile so
   /// submissions retire in item order — the replay log (DESIGN.md §7) and
   /// checksum identities (§10) then match a single-threaded run exactly.
   bool deterministic_order = false;
-
-  /// Striped per-logical-data locks protecting each impl's MSI state,
-  /// last-writer/readers chains and instance bookkeeping on the fast path,
-  /// so unrelated data never contend. Stripe index hashes the impl address;
-  /// a task locks all its deps' stripes in canonical order (stripe_lock).
-  static constexpr std::size_t data_stripe_count = 64;
-  std::array<std::mutex, data_stripe_count> data_stripes;
-
-  std::mutex& stripe_for(const void* impl) {
-    auto h = reinterpret_cast<std::uintptr_t>(impl) >> 6;
-    h ^= h >> 17;
-    return data_stripes[h % data_stripe_count];
-  }
 
   /// Every live logical data, for the eviction scan (weak: registration
   /// does not keep data alive).
@@ -91,20 +61,18 @@ struct context_state {
   /// paper scale without paying host-side numerics.
   bool compute_payloads = true;
 
-  /// LRU clock for eviction. Atomic (relaxed) because fast-path acquires
-  /// stamp instance recency while holding only their data stripes.
-  std::atomic<std::uint64_t> use_counter{0};
+  /// LRU clock for eviction.
+  std::uint64_t use_counter = 0;
 
-  /// Fast-path counter: redundant events (duplicates, completed, dominated
-  /// by a later same-stream event) pruned while building dependency lists
-  /// on the acquire/release path (§IV). Per-thread cells: incremented under
-  /// different data stripes concurrently.
-  detail::relaxed_counter events_pruned;
+  /// Redundant events (duplicates, completed, dominated by a later
+  /// same-stream event) pruned while building dependency lists on the
+  /// acquire/release path (§IV).
+  std::uint64_t events_pruned = 0;
 
-  /// Submissions that completed on the sharded multi-threaded fast path
-  /// (ctx.fast_path_submits()); tests assert eligibility didn't silently
-  /// degrade to the serialized exclusive path.
-  detail::relaxed_counter fast_submits;
+  /// Task submissions the pipeline ran with no engine or observer armed
+  /// (ctx.fast_path_submits()); tests assert that disarmed submission did
+  /// not silently pick up engine work.
+  std::uint64_t fast_submits = 0;
 
   /// Estimated accumulated work per device (seconds), maintained by the
   /// HEFT-style automatic placement policy (§IX extension).
@@ -242,8 +210,8 @@ struct context_state {
 
   // --- submission pipeline observers (submit.cpp, DESIGN.md §13) ---
 
-  /// Registered pipeline observers (ctx.observe()). Non-empty observers
-  /// force the slow path: op records are built and emitted under `mu`.
+  /// Registered pipeline observers (ctx.observe()). Op records are built
+  /// and emitted under `mu`.
   std::vector<submit_observer*> observers;
 
   /// The context-owned DOT exporter, when enabled via ctx.enable_dot() or
@@ -251,8 +219,7 @@ struct context_state {
   /// destructor lives in context.cpp where dot_exporter is complete.
   std::unique_ptr<dot_exporter> dot;
 
-  /// Monotonic op id for pipeline records (observers registered ⇒ slow
-  /// path ⇒ incremented under `mu`).
+  /// Monotonic op id for pipeline records (incremented under `mu`).
   std::uint64_t next_op_id = 1;
 };
 

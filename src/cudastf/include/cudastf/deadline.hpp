@@ -67,9 +67,7 @@ struct task_limits {
 };
 
 /// Deadline, cancellation and backpressure engine of one context. All entry
-/// points run with the context lock held (and the exclusive gate while
-/// parallel_submit workers are live): arming a deadline or a limit makes
-/// every submission structural, exactly like checkpointing.
+/// points run with the context lock held.
 class deadline_monitor {
  public:
   explicit deadline_monitor(context_state& st) : st_(&st) {}

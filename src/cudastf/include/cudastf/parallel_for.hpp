@@ -103,10 +103,6 @@ class [[nodiscard]] parallel_for_builder {
 
   template <class Fn>
   void operator->*(Fn&& fn) && {
-    // Structured constructs span grids / composite places: structural, so
-    // MT submission takes the exclusive gate (DESIGN.md §11).
-    detail::gate_exclusive xg(st_->gate,
-                              st_->mt_active.load(std::memory_order_acquire));
     std::lock_guard lock(st_->mu);
     const auto untyped = make_untyped();
     op_desc op;

@@ -87,9 +87,8 @@ struct op_record {
 
 /// Public hook-point API (ctx.observe()): called once per submission with
 /// its terminal record, under the context lock. Observers must outlive the
-/// context or be detached with ctx.unobserve(). Attaching an observer makes
-/// submissions structural: they leave the §11 lock-free fast path while
-/// observed (fast_path_submits() stops advancing).
+/// context or be detached with ctx.unobserve(). Observed submissions leave
+/// the disarmed fast path (fast_path_submits() stops advancing).
 class submit_observer {
  public:
   virtual ~submit_observer() = default;
@@ -314,24 +313,6 @@ std::function<void()> make_requeue(const Builder& b, Fn& fn) {
     return {};
   }
 }
-
-/// §11 fast-path eligibility, context half: true while no structural engine
-/// (checkpoint, integrity, deadline, fault recovery, declared ordering,
-/// observers) is armed and the backend accepts concurrent run() calls.
-/// Checked under the shared gate; arming any engine takes the exclusive
-/// gate, so the answer is stable for the duration of a fast submission.
-bool fast_path_armed(const context_state& st);
-
-/// §11 fast-path eligibility, data half: every dep must already have an
-/// allocated instance at its resolved place, valid when read, and no
-/// composite places. Fills `resolved`; called under the dep stripes.
-bool fast_path_ready(const op_desc& op, int device, data_place* resolved);
-
-/// Cold epilogue of a failed fast-path submission: unpin and record, under
-/// the exclusive gate + context lock (the caller re-locks before calling).
-[[gnu::cold]] void fast_submit_failure(context_state& st, const op_desc& op,
-                                       failure_kind kind, int device,
-                                       const char* what);
 
 /// CUDASTF_DOT_FILE arming (context creation) and flush (finalize).
 void arm_env_dot(context_state& st);

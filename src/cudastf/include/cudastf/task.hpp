@@ -116,20 +116,26 @@ class [[nodiscard]] task_builder {
       throw std::logic_error(
           "cudastf: use ctx.host_launch() for host-side tasks");
     }
-    if (st_->mt_active.load(std::memory_order_acquire)) [[unlikely]] {
-      // Multi-threaded submission (DESIGN.md §11): eligible tasks take the
-      // sharded fast path under the shared gate; anything ineligible
-      // (checkpointing, integrity, faults, allocation/transfer needed, ...)
-      // falls back to the exact single-threaded body under the exclusive
-      // gate, where it runs unchanged.
-      if (try_submit_fast(fn)) {
-        return;
-      }
-      detail::gate_exclusive xg(st_->gate, true);
-      submit_locked(std::forward<Fn>(fn));
-      return;
-    }
-    submit_locked(std::forward<Fn>(fn));
+    // Every submission, from any thread, runs the one pipeline path under
+    // the context mutex (DESIGN.md §11).
+    std::lock_guard lock(st_->mu);
+    const auto untyped = make_untyped();
+    op_desc op;
+    op.kind = op_kind::task;
+    op.symbol = &symbol_;
+    op.deps = untyped.data();
+    op.n_deps = untyped.size();
+    op.deadline = deadline_;
+    op.verified = verified_;
+    op.shed = shed_;
+    detail::submit_pipeline pipe(*st_, op);
+    pipe.stage_admission(pipe.needs_requeue()
+                             ? detail::make_requeue(*this, fn)
+                             : std::function<void()>{});
+    const int device = pipe.choose_device(where_);
+    std::array<data_place, sizeof...(Deps)> resolved;
+    hooks_t<std::remove_reference_t<Fn>> h(*this, pipe, resolved, fn);
+    pipe.execute_task(h, device);
   }
 
  private:
@@ -170,112 +176,6 @@ class [[nodiscard]] task_builder {
     }
   };
 
-  /// The pre-existing single-threaded submission entry, serialized by the
-  /// context lock (and, while parallel_submit workers are live, by the
-  /// exclusive gate taken in operator->*). Lowers to an op_desc and hands
-  /// the staged pipeline the hooks.
-  template <class Fn>
-  void submit_locked(Fn&& fn) {
-    std::lock_guard lock(st_->mu);
-    const auto untyped = make_untyped();
-    op_desc op;
-    op.kind = op_kind::task;
-    op.symbol = &symbol_;
-    op.deps = untyped.data();
-    op.n_deps = untyped.size();
-    op.deadline = deadline_;
-    op.verified = verified_;
-    op.shed = shed_;
-    detail::submit_pipeline pipe(*st_, op);
-    pipe.stage_admission(pipe.needs_requeue()
-                             ? detail::make_requeue(*this, fn)
-                             : std::function<void()>{});
-    const int device = pipe.choose_device(where_);
-    std::array<data_place, sizeof...(Deps)> resolved;
-    hooks_t<std::remove_reference_t<Fn>> h(*this, pipe, resolved, fn);
-    pipe.execute_task(h, device);
-  }
-
-  /// Sharded fast-path submission (DESIGN.md §11): holds the gate shared
-  /// and only the deps' stripe mutexes — never the context lock — across
-  /// acquire -> backend run -> release (two-phase locking). Returns false,
-  /// without submitting, when the task is ineligible: the caller then
-  /// retries through the exclusive gate on the unchanged slow path.
-  template <class Fn>
-  bool try_submit_fast(Fn& fn) {
-    // A structural operation submitting tasks while it holds the gate
-    // exclusively (epoch replay) must not take the shared side against
-    // itself; the exclusive side is reentrant, so fall through to it.
-    if (st_->gate.held_exclusive_by_me()) {
-      return false;
-    }
-    if (verified_ || deadline_ > 0.0 || shed_ ||
-        where_.type() == exec_place::kind::automatic) {
-      return false;  // dual execution / deadline / HEFT mutation: structural
-    }
-    context_state& st = *st_;
-    detail::gate_shared sg(st.gate);
-    if (!detail::fast_path_armed(st)) {
-      return false;  // a structural engine or observer is armed
-    }
-    const int device = where_.type() == exec_place::kind::device
-                           ? where_.device_index()
-                           : st.plat->current_device();
-    const auto untyped = make_untyped();
-    op_desc op;
-    op.kind = op_kind::task;
-    op.symbol = &symbol_;
-    op.deps = untyped.data();
-    op.n_deps = untyped.size();
-    detail::stripe_lock stripes;
-    for (const task_dep_untyped* d : untyped) {
-      if (!stripes.add(&st.stripe_for(d->data.get()))) {
-        return false;  // more distinct data than stripe capacity
-      }
-    }
-    constexpr auto seq = std::index_sequence_for<Deps...>{};
-    std::array<data_place, sizeof...(Deps)> resolved;
-    stripes.lock();
-    if (!detail::fast_path_ready(op, device, resolved.data())) {
-      return false;  // allocation/transfer needed: structural
-    }
-    failure_kind fail_kind = failure_kind::submission_exception;
-    std::string fail_buf;
-    std::exception_ptr err;
-    try {
-      event_list ready = detail::acquire_all(st, device, resolved, deps_, seq);
-      auto views = detail::make_views(resolved, deps_, seq);
-      auto payload = [fn = std::forward<Fn>(fn),
-                      views](cudasim::stream& s) mutable {
-        std::apply([&](auto&... v) { fn(s, v...); }, views);
-      };
-      event_ptr done =
-          st.backend->run(device, backend_iface::channel::compute, ready,
-                          payload, symbol_);
-      const event_list done_list(std::move(done));
-      detail::release_all(st, resolved, deps_, done_list, seq);
-      st.fast_submits += 1;
-      return true;
-    } catch (const std::bad_alloc& e) {
-      fail_kind = failure_kind::out_of_memory;
-      fail_buf = e.what();
-      err = std::current_exception();
-    } catch (const std::exception& e) {
-      fail_kind = failure_kind::submission_exception;
-      fail_buf = e.what();
-      err = std::current_exception();
-    }
-    // Failure epilogue: drop the stripes and the shared gate, then record
-    // under the exclusive gate + context lock like the slow path would,
-    // and rethrow the original exception.
-    stripes.unlock();
-    sg.unlock();
-    detail::gate_exclusive xg(st.gate, true);
-    std::lock_guard lock(st.mu);
-    detail::fast_submit_failure(st, op, fail_kind, device, fail_buf.c_str());
-    std::rethrow_exception(err);
-  }
-
   std::array<const task_dep_untyped*, sizeof...(Deps)> make_untyped() const {
     std::array<const task_dep_untyped*, sizeof...(Deps)> untyped{};
     std::size_t idx = 0;
@@ -315,11 +215,6 @@ class [[nodiscard]] host_launch_builder {
 
   template <class Fn>
   void operator->*(Fn&& fn) && {
-    // Host tasks are rare and touch the host stream + deferred-free
-    // machinery: always structural, so MT submission takes the exclusive
-    // gate (DESIGN.md §11).
-    detail::gate_exclusive xg(st_->gate,
-                              st_->mt_active.load(std::memory_order_acquire));
     std::lock_guard lock(st_->mu);
     const auto untyped = make_untyped();
     op_desc op;

@@ -8,10 +8,9 @@
 // verified flag (or verify_all_tasks) is set.
 //
 // Threading contract (DESIGN.md §11): checksum bookkeeping spans multiple
-// logical data and the platform, so tasks on contexts with an integrity
-// engine never take the concurrent fast path — everything here runs with
-// the submission gate held exclusively, keeping checksum identity (and
-// thus deterministic-mode digests) independent of submitting thread count.
+// logical data and the platform; everything here runs under the context
+// mutex, keeping checksum identity (and thus deterministic-mode digests)
+// independent of submitting thread count.
 #include "cudastf/integrity.hpp"
 
 #include <cstring>

@@ -3,10 +3,8 @@
 // and prefetch-back. Owns context_state::alloc_with_eviction.
 //
 // Threading contract (DESIGN.md §11): allocation and eviction mutate
-// instances of arbitrary logical data, so this engine only ever runs with
-// the submission gate held exclusively (the fast path bails out before
-// allocating). use_counter is the one member touched from the shared fast
-// path and is atomic for that reason.
+// instances of arbitrary logical data; this engine only ever runs under the
+// context mutex.
 #include "cudastf/mem_engine.hpp"
 
 #include <algorithm>
@@ -214,8 +212,7 @@ void mem_engine::pump_prefetch(context_state& st, int /*device*/) {
         release_device_instance(st, *d, inst, /*recycle=*/true);
         continue;
       }
-      inst.last_use = st.use_counter.fetch_add(1, std::memory_order_relaxed) +
-                      1;  // fresh fill: not the next victim
+      inst.last_use = ++st.use_counter;  // fresh fill: not the next victim
       ++st.backend->mutable_stats().prefetch_refills;
       --budget;
     }
@@ -317,8 +314,7 @@ bool context_state::evict_for(int device, std::size_t bytes_needed) {
             inst.last_use - inst.prev_use > mem.cfg.scan_threshold) {
           key = scan_base - inst.last_use;
           if (mem.cfg.scan_guard != 0 &&
-              inst.last_use + mem.cfg.scan_guard >
-                  use_counter.load(std::memory_order_relaxed)) {
+              inst.last_use + mem.cfg.scan_guard > use_counter) {
             // Too young: its producers are still in flight (see scan_guard).
             key += scan_base / 2;
           }

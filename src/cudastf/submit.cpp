@@ -487,6 +487,12 @@ void submit_pipeline::execute_plain(op_hooks& h, const int* devices,
 void submit_pipeline::execute_task(op_hooks& h, int device) {
   if (!st_.fault_aware()) {
     execute_plain(h, &device, 1, true);
+    // The disarmed fast path (ctx.fast_path_submits()): no engine armed
+    // and no observer attached.
+    if (st_.ckpt == nullptr && st_.integ == nullptr && st_.dl == nullptr &&
+        st_.order_edges.empty() && st_.observers.empty()) {
+      ++st_.fast_submits;
+    }
     return;
   }
   execute_task_resilient(h, device);
@@ -705,47 +711,6 @@ void submit_pipeline::execute_host_task(op_hooks& h) {
 void submit_pipeline::execute_host_shard(op_hooks& h) {
   const int host_dev = -1;
   execute_plain(h, &host_dev, 1, false);
-}
-
-// --- §11 fast-path eligibility ---
-
-bool fast_path_armed(const context_state& st) {
-  // Structural context features force the slow path wholesale: their hooks
-  // mutate shared engine state the data stripes do not cover. Observers are
-  // structural too — records are built and emitted under the context lock.
-  return st.ckpt == nullptr && st.integ == nullptr && st.dl == nullptr &&
-         !st.fault_aware() && st.order_edges.empty() &&
-         st.observers.empty() && st.backend->concurrent_safe();
-}
-
-bool fast_path_ready(const op_desc& op, int device, data_place* resolved) {
-  // Pre-check under the stripes: every dep needs an already-allocated
-  // instance at its resolved place, valid when the op reads it. Anything
-  // needing allocation, eviction or a coherence transfer is structural (it
-  // touches the memory engine and other data's stripes) and goes through
-  // the exclusive gate instead. After this check the unchanged
-  // acquire_dep/release_dep bodies provably skip those branches, so the
-  // pre-existing coherence logic runs as-is.
-  for (std::size_t i = 0; i < op.n_deps; ++i) {
-    const task_dep_untyped& dep = *op.deps[i];
-    resolved[i] = resolve_place(dep.place, device);
-    if (resolved[i].type() == data_place::kind::composite) {
-      return false;
-    }
-    data_instance* inst = dep.data->find_instance(resolved[i]);
-    if (inst == nullptr || !inst->allocated ||
-        (mode_reads(dep.mode) && inst->state == msi_state::invalid)) {
-      return false;
-    }
-  }
-  return true;
-}
-
-void fast_submit_failure(context_state& st, const op_desc& op,
-                         failure_kind kind, int device, const char* what) {
-  detail::unpin_deps(op.deps, op.n_deps);
-  detail::fail_task(st, op.deps, op.n_deps, *op.symbol, kind, device, 1,
-                    what);
 }
 
 // --- CUDASTF_DOT_FILE ---

@@ -71,13 +71,13 @@ TEST(Deadline, DisarmedContextStaysOnFastPathWithZeroCounters) {
     axpb_kernel(p, s, 1.0, 0.0, v);  // warm-up: instance valid
   };
   const std::uint64_t fast_before = ctx.fast_path_submits();
-  // The lock-free fast path engages under parallel_submit (DESIGN.md §11).
+  // The disarmed fast path engages under parallel_submit (DESIGN.md §11).
   ctx.parallel_submit(2, 16, [&](std::size_t) {
     ctx.task(lx.rw())->*[&](cudasim::stream& s, slice<double> v) {
       axpb_kernel(p, s, 1.0, 1.0, v);
     };
   });
-  // No deadline, no limits: submissions stay on the lock-free fast path
+  // No deadline, no limits: submissions stay on the disarmed fast path
   // and the hang-recovery counters never move.
   EXPECT_EQ(ctx.fast_path_submits() - fast_before, 16u);
   const backend_stats& st = ctx.stats();

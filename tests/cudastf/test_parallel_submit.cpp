@@ -1,15 +1,20 @@
-// Parallel host-side submission (DESIGN.md §11, paper §VII-E): sharded
-// dependency tracking under per-data stripe locks, the submit_gate that
-// lets structural operations run unchanged, deterministic-order mode, and
-// the thread-safe cudasim boundary. Covers: disjoint-data fan-out with no
+// Parallel host-side submission (DESIGN.md §11, paper §VII-E): every
+// submission from every worker runs the one pipeline path under the
+// context mutex, deterministic-order mode retires items in order, and the
+// cudasim boundary is thread-safe. Covers: disjoint-data fan-out with no
 // cross-talk, shared-data serialization, bit-identical deterministic
 // schedules on both backends, submission under injected faults, replay
-// after an epoch restart, and slab-recycling / structural-op stress.
+// after an epoch restart, worker-exception propagation, and
+// slab-recycling / structural-op stress.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <numeric>
+#include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "cudastf/cudastf.hpp"
@@ -85,7 +90,7 @@ TEST(ParallelSubmit, DisjointDataNoCrossTalk) {
   }
 }
 
-// --- shared data: stripe locks serialize correctly across threads ---
+// --- shared data: the context mutex serializes correctly across threads ---
 
 TEST(ParallelSubmit, SharedDataSerializesCorrectly) {
   cudasim::scoped_platform sp(1, tdesc());
@@ -167,9 +172,9 @@ TEST(ParallelSubmit, DeterministicOrderBitIdenticalGraphBackend) {
     run_affine_chain(context::graph(sp.get()), sp.get(), ref, 1, items);
   }
   {
-    // The graph backend captures single-threaded (concurrent_safe() is
-    // false): every submission falls back to the exclusive gate, and the
-    // turnstile still retires items in order.
+    // The graph backend records into one capture graph per epoch; the
+    // context mutex admits one capturer at a time, and the turnstile still
+    // retires items in order.
     cudasim::scoped_platform sp(2, tdesc());
     run_affine_chain(context::graph(sp.get()), sp.get(), mt, 4, items);
   }
@@ -242,6 +247,83 @@ TEST(ParallelSubmit, DeterministicReplayAfterEpochRestart) {
   EXPECT_EQ(std::memcmp(ref.data(), mt.data(), n * sizeof(double)), 0);
 }
 
+// --- a throwing worker: first exception rethrown, context left usable ---
+
+// Item `bad` (owned by worker bad % n_threads) submits a task on the host
+// place, which ctx.task() rejects with std::logic_error. parallel_submit
+// must stop that worker, let every other worker finish its in-flight item,
+// rethrow the logic_error after the join, and leave the context mutex free
+// for the main thread.
+void run_throwing_worker(bool deterministic) {
+  cudasim::scoped_platform sp(1, tdesc());
+  cudasim::platform& p = sp.get();
+  context ctx(p);
+  ctx.set_deterministic_order(deterministic);
+
+  constexpr int n_threads = 4;
+  constexpr std::size_t items = 40, bad = 9;
+  std::vector<double> acc(1, 0.0);
+  auto lacc = ctx.logical_data(acc.data(), acc.size(), "acc");
+  auto add_one = [&p](cudasim::stream& s, slice<double> v) {
+    p.launch_kernel(s, {.name = "inc"}, [=] { v(0) += 1.0; });
+  };
+  ctx.task(lacc.rw())->*add_one;  // warm-up: device instance valid
+
+  std::vector<std::atomic<bool>> submitted(items);
+  std::atomic<int> inside{0};
+  bool threw = false;
+  try {
+    ctx.parallel_submit(n_threads, items, [&](std::size_t item) {
+      struct in_item {
+        std::atomic<int>& n;
+        explicit in_item(std::atomic<int>& c) : n(c) { n.fetch_add(1); }
+        ~in_item() { n.fetch_sub(1); }
+      } guard(inside);
+      if (item == bad) {
+        ctx.task(exec_place::host(), lacc.rw())->*add_one;
+      }
+      // Keep the other workers busy past the throw, so a rethrow before
+      // the join would find one of them still inside an item.
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+      ctx.task(lacc.rw())->*add_one;
+      submitted[item].store(true);
+    });
+  } catch (const std::logic_error& e) {
+    threw = true;
+    EXPECT_NE(std::string(e.what()).find("host_launch"), std::string::npos)
+        << e.what();
+  }
+  ASSERT_TRUE(threw) << "the worker's logic_error was not rethrown";
+  // Rethrown only after the join: no worker is still inside an item.
+  EXPECT_EQ(inside.load(), 0);
+  EXPECT_FALSE(submitted[bad].load());
+  for (std::size_t i = bad + n_threads; i < items; i += n_threads) {
+    EXPECT_FALSE(submitted[i].load()) << "item " << i << " after the throw";
+  }
+  std::size_t n_submitted = 0;
+  for (std::size_t i = 0; i < items; ++i) {
+    n_submitted += submitted[i].load() ? 1 : 0;
+    if (deterministic) {
+      // The turnstile retires items in order and stops at the throw.
+      EXPECT_EQ(submitted[i].load(), i < bad) << "item " << i;
+    }
+  }
+
+  // The context mutex was released: the main thread submits and finalizes.
+  ctx.task(lacc.rw())->*add_one;
+  const error_report rep = ctx.finalize();
+  ASSERT_TRUE(rep.ok()) << rep.to_string();
+  EXPECT_DOUBLE_EQ(acc[0], double(n_submitted + 2));
+}
+
+TEST(ParallelSubmit, ThrowingWorkerRethrowsAfterJoinFreeOrder) {
+  run_throwing_worker(false);
+}
+
+TEST(ParallelSubmit, ThrowingWorkerRethrowsAfterJoinDeterministicOrder) {
+  run_throwing_worker(true);
+}
+
 // --- structural operations mixed into the worker loop ---
 
 TEST(ParallelSubmit, StructuralOpsMixedWithFastPath) {
@@ -266,9 +348,10 @@ TEST(ParallelSubmit, StructuralOpsMixedWithFastPath) {
   }
 
   // Every 40th item runs a structural op (fence: drains the DES, recycles
-  // slab nodes via collect_handles + gc) from a worker thread, exercising
-  // the exclusive gate against in-flight fast-path submissions and the
-  // retired-prefix guard that keeps recycled nodes safe from stale events.
+  // slab nodes via collect_handles + gc) from a worker thread, interleaved
+  // with other workers' submissions under the context mutex, and exercises
+  // the retired-prefix guard that keeps recycled nodes safe from stale
+  // events.
   ctx.parallel_submit(n_threads, items, [&](std::size_t item) {
     if (item % 40 == 17) {
       ctx.fence();
@@ -357,8 +440,7 @@ TEST(ParallelSubmit, StatsCountersCoherentUnderConcurrency) {
         };
   });
 
-  // Per-thread cells aggregated on read: no increments lost (thread count
-  // is far below the cell count, so no aliasing).
+  // Every increment happens under the context mutex: none is lost.
   EXPECT_EQ(ctx.stats().tasks - tasks_before, items);
   const error_report rep = ctx.finalize();
   ASSERT_TRUE(rep.ok()) << rep.to_string();

@@ -1,7 +1,7 @@
 // The staged submission pipeline and its observer API (DESIGN.md §13):
 // every construct lowers to the same op_desc/op_record shape, the lowering
-// is identical across backends, the disarmed path stays on the §11 lock-
-// free fast path, and the shipped observers (trace, Graphviz DOT) render
+// is identical across backends, the disarmed path stays on the fast path
+// from any thread, and the shipped observers (trace, Graphviz DOT) render
 // the lowered graph — including poison cause-chain edges.
 #include <gtest/gtest.h>
 
@@ -175,7 +175,7 @@ TEST(SubmitPipeline, StreamAndGraphBackendsLowerIdentically) {
   EXPECT_EQ(ys, yg);
 }
 
-// --- the disarmed path stays on the §11 fast path ---
+// --- the disarmed path stays on the fast path ---
 
 TEST(SubmitPipeline, DisarmedFanOutStaysOnFastPath) {
   cudasim::scoped_platform sp(2, tdesc());
@@ -212,7 +212,7 @@ TEST(SubmitPipeline, DisarmedFanOutStaysOnFastPath) {
       });
     };
   });
-  // Every MT submission took the lock-free fast path: the pipeline's
+  // Every MT submission took the disarmed fast path: the pipeline's
   // observer hook must not have forced the slow path while disarmed.
   EXPECT_EQ(ctx.fast_path_submits() - fast_before, n_threads * per);
   const error_report rep = ctx.finalize();
