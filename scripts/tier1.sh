@@ -5,12 +5,12 @@
 #                                  [--chaos] [build-dir]
 #
 # --sanitize additionally builds an ASan+UBSan tree (build-asan) and runs
-# the fault-injection, checkpoint and eviction tests under it — the error
-# and recovery paths are where lifetime bugs would hide.
+# the fault-injection, checkpoint, eviction and transfer tests under it —
+# the error and recovery paths are where lifetime bugs would hide.
 #
 # --tsan additionally builds a ThreadSanitizer tree (build-tsan) and runs
-# the parallel-submission, concurrency, fast-path and fault-injection tests
-# under it — multi-threaded submission under the context mutex (DESIGN.md
+# the parallel-submission, concurrency, fast-path, fault-injection and
+# transfer tests under it — multi-threaded submission under the context mutex (DESIGN.md
 # §11) is where data races would hide.
 #
 # --bench-smoke additionally runs every --json benchmark once and diffs the
@@ -148,7 +148,7 @@ if [[ "$sanitize" == 1 ]]; then
   cmake --build "$asan_build" -j "$jobs" \
     --target test_fault_injection test_eviction test_checkpoint \
              test_mem_engine test_integrity test_deadline \
-             test_submit_pipeline
+             test_submit_pipeline test_transfer
   ASAN_OPTIONS=detect_leaks=0 UBSAN_OPTIONS=halt_on_error=1 \
     "$asan_build/tests/test_fault_injection"
   ASAN_OPTIONS=detect_leaks=0 UBSAN_OPTIONS=halt_on_error=1 \
@@ -168,6 +168,11 @@ if [[ "$sanitize" == 1 ]]; then
   # emission after rollback is where a dangling dep record would hide.
   ASAN_OPTIONS=detect_leaks=0 UBSAN_OPTIONS=halt_on_error=1 \
     "$asan_build/tests/test_submit_pipeline"
+  # The transfer planner keeps outbound-copy events in per-source buckets
+  # across drains (DESIGN.md §6): a dangling or double-pruned event_ptr
+  # would show here.
+  ASAN_OPTIONS=detect_leaks=0 UBSAN_OPTIONS=halt_on_error=1 \
+    "$asan_build/tests/test_transfer"
 fi
 
 if [[ "$tsan" == 1 ]]; then
@@ -175,7 +180,8 @@ if [[ "$tsan" == 1 ]]; then
   cmake -S "$repo" -B "$tsan_build" -DREPRO_TSAN=ON
   cmake --build "$tsan_build" -j "$jobs" \
     --target test_parallel_submit test_concurrency_api test_fastpath \
-             test_fault_injection test_deadline test_submit_pipeline
+             test_fault_injection test_deadline test_submit_pipeline \
+             test_transfer
   TSAN_OPTIONS=halt_on_error=1 "$tsan_build/tests/test_parallel_submit"
   # Raw std::thread submission into one context: the path every
   # multi-threaded submission takes.
@@ -187,4 +193,7 @@ if [[ "$tsan" == 1 ]]; then
   # MT workers entering/leaving the fast path around observer attach and
   # detach — where a race between emission and submission would hide.
   TSAN_OPTIONS=halt_on_error=1 "$tsan_build/tests/test_submit_pipeline"
+  # The planner reads the DES completion counter unlocked, relying on the
+  # context mutex that every drain runs under (DESIGN.md §6, §11).
+  TSAN_OPTIONS=halt_on_error=1 "$tsan_build/tests/test_transfer"
 fi

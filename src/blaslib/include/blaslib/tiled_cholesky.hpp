@@ -14,12 +14,15 @@ namespace blaslib {
 
 /// Tile-major storage of the lower triangle of an SPD matrix: tile (i, j),
 /// i >= j, is a contiguous block-size x block-size buffer. This is the
-/// host-side original location the runtime writes back to.
+/// host-side original location the runtime writes back to. All tiles share
+/// one anonymous mapping, which reads as zeros and is only backed by
+/// memory where it is written, so tens of GB of timing-only backing cost
+/// one system call and stay unfaulted.
 class tile_matrix {
  public:
-  /// `zero_init` zeroes the tile buffers (required when the numerical
-  /// bodies run). Timing-only runs at paper scale pass false so tens of GB
-  /// of backing stay unfaulted virtual memory.
+  /// `zero_init` prepares the tiles for the numerical bodies: the padded
+  /// part of the last diagonal tile gets its identity block. Timing-only
+  /// runs pass false and never touch the backing.
   tile_matrix(std::size_t n, std::size_t block, bool zero_init = true);
 
   std::size_t n() const { return n_; }
@@ -35,11 +38,15 @@ class tile_matrix {
   void export_dense(double* a) const;
 
  private:
+  struct unmapper {
+    std::size_t bytes;
+    void operator()(double* p) const;
+  };
   std::size_t index(std::size_t i, std::size_t j) const;
   std::size_t n_;
   std::size_t block_;
   std::size_t tiles_;
-  std::vector<std::unique_ptr<double[]>> store_;
+  std::unique_ptr<double, unmapper> store_;
 };
 
 struct cholesky_options {

@@ -133,7 +133,9 @@ void timeline::complete(op_node* node) {
   // node's final timestamps.
   node->done.store(true, std::memory_order_release);
   now_ = std::max(now_, node->t_end);
-  ++completed_;
+  // Published after `done` (single writer, under the driver lock).
+  completed_.store(completed_.load(std::memory_order_relaxed) + 1,
+                   std::memory_order_release);
   --live_;
   if (node->body) {
     // Run (and release) the payload in completion order so numerical side

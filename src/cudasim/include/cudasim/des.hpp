@@ -333,8 +333,13 @@ class timeline {
   /// Largest completion time observed so far.
   timepoint now() const { return now_; }
 
-  /// Number of nodes processed since construction (for introspection/tests).
-  std::uint64_t completed_count() const { return completed_; }
+  /// Number of nodes processed since construction. Lock-free like
+  /// event::query(): a caller that reads a count also observes `done` on
+  /// every node that count includes (the transfer planner relies on it to
+  /// skip re-pruning while nothing completed).
+  std::uint64_t completed_count() const {
+    return completed_.load(std::memory_order_acquire);
+  }
 
   /// Submitted but not yet completed nodes.
   std::uint64_t live_count() const { return live_; }
@@ -389,7 +394,7 @@ class timeline {
   timepoint now_ = 0.0;
   std::uint64_t next_id_ = 1;
   std::uint64_t next_seq_ = 1;
-  std::uint64_t completed_ = 0;
+  std::atomic<std::uint64_t> completed_{0};  ///< written under the driver lock
   std::uint64_t live_ = 0;  ///< submitted but not completed
   std::uint64_t pooled_ = 0;
   std::uint64_t abandoned_ = 0;

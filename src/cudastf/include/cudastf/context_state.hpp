@@ -105,14 +105,15 @@ struct context_state {
   /// One record per planned transfer while xfer.trace is set.
   std::vector<transfer_record> xfer_trace;
 
-  /// Outbound copies the planner has issued and believes may still be in
-  /// flight; pruned lazily against event completion. The routing score uses
-  /// the per-source count as a copy-engine occupancy estimate.
-  struct outbound_copy {
-    event_ptr done;   ///< completion of the copy's last segment
-    int device = -1;  ///< source: device index, or -1 for the host
+  /// Outbound copies the planner has issued and not yet seen complete, one
+  /// bucket per source (index = source device + 1; the host is 0), sized
+  /// at the first copy. The routing score uses a bucket's size as that
+  /// source's copy-engine occupancy (transfer.cpp, outstanding_from).
+  struct outbound_bucket {
+    std::vector<event_ptr> copies;  ///< last-segment completion events
+    std::uint64_t pruned_at = 0;    ///< ops_completed() at the last prune
   };
-  std::vector<outbound_copy> xfer_outbound;
+  std::vector<outbound_bucket> xfer_outbound;
 
   void sweep_registry();
 

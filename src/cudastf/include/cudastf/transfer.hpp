@@ -53,6 +53,7 @@ struct transfer_record {
   std::size_t bytes = 0;
   std::size_t chunks = 1;  ///< 0 for a coalesced hit
   bool coalesced = false;
+  bool operator==(const transfer_record&) const = default;
 };
 
 /// Makes `dst` a valid copy of the logical data: coalesces onto an

@@ -75,18 +75,28 @@ bool fill_in_flight(const logical_data_impl& d, const data_instance& inst) {
 }
 
 /// Copy-engine occupancy estimate: planner-issued outbound copies from
-/// `device` (-1 = host) not yet observed complete. Prunes retired entries.
+/// `device` (-1 = host) not yet observed complete.
+///
+/// An event only turns complete inside timeline::complete() (cancellation
+/// included), which then bumps ops_completed(); so while that counter is
+/// unchanged since a bucket's last prune, no entry in it can have retired
+/// and its size is exact. Completion is monotonic, so pruning one bucket at
+/// a time yields the same count a scan of every outbound copy would. The
+/// counter is published after each `done` flag and read with acquire, so
+/// the read takes no lock; the caller holds the context mutex, and every
+/// drain an STF call triggers runs under it too (DESIGN.md §11).
 std::size_t outstanding_from(context_state& st, int device) {
-  std::erase_if(st.xfer_outbound, [](const context_state::outbound_copy& c) {
-    return !c.done || c.done->completed();
-  });
-  std::size_t n = 0;
-  for (const context_state::outbound_copy& c : st.xfer_outbound) {
-    if (c.device == device) {
-      ++n;
-    }
+  const std::size_t slot = static_cast<std::size_t>(device + 1);
+  if (slot >= st.xfer_outbound.size()) {
+    return 0;
   }
-  return n;
+  context_state::outbound_bucket& b = st.xfer_outbound[slot];
+  const std::uint64_t completed = st.plat->ops_completed();
+  if (b.pruned_at != completed) {
+    std::erase_if(b.copies, [](const event_ptr& e) { return e->completed(); });
+    b.pruned_at = completed;
+  }
+  return b.copies.size();
 }
 
 /// Modelled seconds for one hop src -> dst at instance granularity.
@@ -284,8 +294,17 @@ event_list issue_copy(context_state& st, logical_data_impl& d,
   dst.fill_depth = chained ? src.fill_depth + 1 : 0;
   dst.fill_ready_cost = ready_cost;
   dst.fill_chunks = std::move(chunk_evs);
-  if (!dst.fill_chunks.empty()) {
-    st.xfer_outbound.push_back({dst.fill_chunks.back(), src_dev});
+  // A copy that already retired occupies no engine. Leaving it out keeps
+  // an unchanged completion counter meaning "bucket still exact".
+  const event_ptr last = dst.fill_chunks.empty() ? nullptr
+                                                 : dst.fill_chunks.back();
+  if (last && !last->completed()) {
+    if (st.xfer_outbound.empty()) {
+      st.xfer_outbound.resize(
+          static_cast<std::size_t>(plat->device_count()) + 1);
+    }
+    st.xfer_outbound[static_cast<std::size_t>(src_dev + 1)].copies.push_back(
+        last);
   }
 
   if (src_dev >= 0 && dst_dev >= 0) {

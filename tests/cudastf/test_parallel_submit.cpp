@@ -4,20 +4,26 @@
 // cudasim boundary is thread-safe. Covers: disjoint-data fan-out with no
 // cross-talk, shared-data serialization, bit-identical deterministic
 // schedules on both backends, submission under injected faults, replay
-// after an epoch restart, worker-exception propagation, and
-// slab-recycling / structural-op stress.
+// after an epoch restart, worker-exception propagation, multi-source
+// transfer routing under eviction, and slab-recycling / structural-op
+// stress.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstring>
 #include <numeric>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "blaslib/blas_sim.hpp"
+#include "blaslib/tiled_cholesky.hpp"
 #include "cudastf/cudastf.hpp"
+#include "cudastf/transfer.hpp"
 
 namespace {
 
@@ -371,6 +377,146 @@ TEST(ParallelSubmit, StructuralOpsMixedWithFastPath) {
           << "data " << t << " elem " << i;
     }
   }
+}
+
+// --- multi-source routing: deterministic mode routes like one thread ---
+
+struct routed_cholesky {
+  std::vector<double> factor;
+  std::vector<transfer_record> trace;
+  double now = 0.0;
+  std::uint64_t evictions = 0;
+};
+
+// Tiled Cholesky with numerical bodies on 4 devices whose pools hold 32
+// tiles of 16x16: each tile is read on several devices while eviction
+// churns, so the transfer planner scores multi-source routes, whose
+// copy-engine occupancy term reads the DES completion counter. Every task
+// is one parallel_submit item, in tiled_cholesky_stf's order.
+routed_cholesky run_routed_cholesky(int n_threads) {
+  constexpr std::size_t n = 133, block = 16;
+  std::vector<double> dense(n * n);
+  blaslib::fill_spd(dense.data(), n, 7);
+  blaslib::tile_matrix mat(n, block);
+  mat.import_dense(dense.data());
+
+  cudasim::scoped_platform sp(4, cudasim::a100_desc());
+  cudasim::platform& p = sp.get();
+  for (int d = 0; d < 4; ++d) {
+    p.device(d).set_pool_capacity(32 * block * block * sizeof(double));
+  }
+  context ctx(p);
+  ctx.transfer_options().trace = true;
+
+  const std::size_t T = mat.tiles();
+  std::vector<logical_data<slice<double, 2>>> tile(T * T);
+  for (std::size_t i = 0; i < T; ++i) {
+    for (std::size_t j = 0; j <= i; ++j) {
+      tile[i * T + j] = ctx.logical_data(mat.tile_ptr(i, j), block, block,
+                                         "tile");
+    }
+  }
+  auto lt = [&](std::size_t i, std::size_t j) -> auto& {
+    return tile[i * T + j];
+  };
+  auto dev = [](std::size_t i) {
+    return exec_place::device(static_cast<int>(i % 4));
+  };
+  struct op {
+    char kind;
+    std::size_t k, i, j;
+  };
+  std::vector<op> ops;
+  for (std::size_t k = 0; k < T; ++k) {
+    ops.push_back({'p', k, k, k});
+    for (std::size_t i = k + 1; i < T; ++i) {
+      ops.push_back({'t', k, i, k});
+    }
+    for (std::size_t i = k + 1; i < T; ++i) {
+      ops.push_back({'s', k, i, i});
+      for (std::size_t j = k + 1; j < i; ++j) {
+        ops.push_back({'g', k, i, j});
+      }
+    }
+  }
+  auto submit = [&](std::size_t item) {
+    const op o = ops[item];
+    switch (o.kind) {
+      case 'p':
+        ctx.task(dev(o.k), lt(o.k, o.k).rw())->*
+            [&p](cudasim::stream& s, slice<double, 2> a) {
+              blaslib::dpotrf(p, s, a);
+            };
+        break;
+      case 't':
+        ctx.task(dev(o.i), lt(o.k, o.k).read(), lt(o.i, o.k).rw())->*
+            [&p](cudasim::stream& s, slice<const double, 2> l,
+                 slice<double, 2> b) { blaslib::dtrsm(p, s, l, b); };
+        break;
+      case 's':
+        ctx.task(dev(o.i), lt(o.i, o.k).read(), lt(o.i, o.i).rw())->*
+            [&p](cudasim::stream& s, slice<const double, 2> a,
+                 slice<double, 2> c) {
+              blaslib::dsyrk(p, s, -1.0, a, 1.0, c);
+            };
+        break;
+      default:
+        ctx.task(dev(o.i), lt(o.i, o.k).read(), lt(o.j, o.k).read(),
+                 lt(o.i, o.j).rw())->*
+            [&p](cudasim::stream& s, slice<const double, 2> a,
+                 slice<const double, 2> b, slice<double, 2> c) {
+              blaslib::dgemm(p, s, false, true, -1.0, a, b, 1.0, c);
+            };
+    }
+  };
+  if (n_threads <= 1) {
+    for (std::size_t i = 0; i < ops.size(); ++i) {
+      submit(i);
+    }
+  } else {
+    ctx.set_deterministic_order(true);
+    ctx.parallel_submit(n_threads, ops.size(), submit);
+  }
+  const error_report rep = ctx.finalize();
+  EXPECT_TRUE(rep.ok()) << rep.to_string();
+
+  routed_cholesky r;
+  r.trace = lt(0, 0).impl()->ctx().xfer_trace;
+  r.now = p.now();
+  r.evictions = ctx.stats().evictions;
+  r.factor.assign(n * n, 0.0);
+  mat.export_dense(r.factor.data());
+
+  std::vector<double> ref = dense;
+  EXPECT_TRUE(blaslib::potrf_host(slice<double, 2>(ref.data(), n, n)));
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j <= i; ++j) {
+      EXPECT_LE(std::fabs(r.factor[i * n + j] - ref[i * n + j]), 1e-8)
+          << n_threads << " thread(s), factor entry (" << i << ", " << j
+          << ")";
+    }
+  }
+  return r;
+}
+
+TEST(ParallelSubmit, DeterministicOrderRoutesLikeOneThreadUnderEviction) {
+  const routed_cholesky ref = run_routed_cholesky(1);
+  const routed_cholesky mt = run_routed_cholesky(4);
+  EXPECT_GT(ref.evictions, 0u);
+  std::set<int> sources;
+  for (const transfer_record& r : ref.trace) {
+    if (r.dst_device >= 0) {
+      sources.insert(r.src_device);
+    }
+  }
+  EXPECT_GE(sources.size(), 3u);  // multi-source routing actually happened
+  EXPECT_EQ(mt.now, ref.now);
+  EXPECT_EQ(mt.evictions, ref.evictions);
+  EXPECT_EQ(mt.trace, ref.trace);
+  ASSERT_EQ(mt.factor.size(), ref.factor.size());
+  EXPECT_EQ(std::memcmp(mt.factor.data(), ref.factor.data(),
+                        ref.factor.size() * sizeof(double)),
+            0);
 }
 
 // --- slab recycling stress: many epochs of submit + drain ---

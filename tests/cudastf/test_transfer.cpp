@@ -4,9 +4,12 @@
 // planner counters, the transfer trace, and the virtual clock.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
+#include <utility>
 #include <vector>
 
+#include "blaslib/tiled_cholesky.hpp"
 #include "cudastf/cudastf.hpp"
 #include "cudastf/transfer.hpp"
 
@@ -411,6 +414,142 @@ TEST(TransferGraphBackend, BroadcastCorrectUnderGraphs) {
   for (int d = 1; d < 4; ++d) {
     EXPECT_DOUBLE_EQ(probes[static_cast<std::size_t>(d)], 14.0);
   }
+}
+
+// --- routing invariance: pinned decisions on an out-of-core factorization -
+
+// FNV-1a over every planned transfer (src, dst, bytes, chunks, coalesced),
+// in issue order: any changed routing decision changes the hash.
+std::uint64_t trace_hash(const std::vector<transfer_record>& trace) {
+  std::uint64_t h = 1469598103934665603ull;
+  auto mix = [&h](std::uint64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      h = (h ^ ((v >> (8 * b)) & 0xff)) * 1099511628211ull;
+    }
+  };
+  for (const transfer_record& r : trace) {
+    mix(static_cast<std::uint64_t>(static_cast<std::int64_t>(r.src_device)));
+    mix(static_cast<std::uint64_t>(static_cast<std::int64_t>(r.dst_device)));
+    mix(r.bytes);
+    mix(r.chunks);
+    mix(r.coalesced ? 1 : 0);
+  }
+  return h;
+}
+
+// The planner trace lives in the context state, reachable through any
+// logical data handle; a shape-only probe is never accessed, so it issues
+// no transfer of its own.
+const context_state& state_of(context& ctx) {
+  auto probe = ctx.logical_data<double, 1>(box<1>(1), "probe");
+  return probe.impl()->ctx();
+}
+
+struct ooc_outcome {
+  std::uint64_t hash = 0;
+  std::size_t transfers = 0;
+  double now = 0.0;
+  std::uint64_t evictions = 0;
+  std::uint64_t broadcast_fanout = 0;
+  std::uint64_t p2p_bytes = 0;
+};
+
+// Timing-only 16x16-tile Cholesky on 4 A100 models whose pools hold 40
+// tiles each: reads fan out across devices while eviction churns, so
+// hundreds of fills are routed among several valid sources by scores that
+// include the copy-engine occupancy term.
+ooc_outcome run_ooc_cholesky(bool graph) {
+  constexpr std::size_t block = 512, tiles = 16;
+  cudasim::scoped_platform sp(4, cudasim::a100_desc());
+  cudasim::platform& p = sp.get();
+  for (int d = 0; d < 4; ++d) {
+    p.device(d).set_pool_capacity(40 * block * block * sizeof(double));
+  }
+  p.set_copy_payloads(false);
+  blaslib::tile_matrix mat(tiles * block, block, /*zero_init=*/false);
+  context ctx = graph ? context::graph(p) : context(p);
+  ctx.set_compute_payloads(false);
+  ctx.transfer_options().trace = true;
+  const context_state& st = state_of(ctx);
+  blaslib::tiled_cholesky_stf(
+      ctx, mat, {.block = block, .compute = false, .devices = {}});
+  const error_report rep = ctx.finalize();
+  EXPECT_TRUE(rep.ok()) << rep.to_string();
+  ooc_outcome o;
+  o.hash = trace_hash(st.xfer_trace);
+  o.transfers = st.xfer_trace.size();
+  o.now = p.now();
+  o.evictions = ctx.stats().evictions;
+  o.broadcast_fanout = ctx.stats().broadcast_fanout;
+  o.p2p_bytes = ctx.stats().p2p_bytes;
+  return o;
+}
+
+// Pinned values of the planner as first shipped (flat outbound-copy scan):
+// the occupancy bookkeeping may get cheaper, but never route differently.
+constexpr std::uint64_t ooc_trace_hash = 0x4029118a543bf70aull;
+constexpr std::size_t ooc_transfers = 644;
+constexpr std::uint64_t ooc_evictions = 382;
+constexpr std::uint64_t ooc_broadcast_fanout = 78;
+constexpr std::uint64_t ooc_p2p_bytes = 807403520;
+
+void expect_pinned_routing(const ooc_outcome& o) {
+  EXPECT_EQ(o.hash, ooc_trace_hash);
+  EXPECT_EQ(o.transfers, ooc_transfers);
+  EXPECT_EQ(o.evictions, ooc_evictions);
+  EXPECT_EQ(o.broadcast_fanout, ooc_broadcast_fanout);
+  EXPECT_EQ(o.p2p_bytes, ooc_p2p_bytes);
+}
+
+TEST(TransferInvariance, OutOfCoreCholeskyStreamBackend) {
+  const ooc_outcome o = run_ooc_cholesky(/*graph=*/false);
+  expect_pinned_routing(o);
+  EXPECT_EQ(o.now, 0x1.9875754c2bc37p-7);
+}
+
+// Same decisions on the graph backend, whose node events never report
+// completion; only the virtual clock differs (graph launch costs).
+TEST(TransferInvariance, OutOfCoreCholeskyGraphBackend) {
+  const ooc_outcome o = run_ooc_cholesky(/*graph=*/true);
+  expect_pinned_routing(o);
+  EXPECT_EQ(o.now, 0x1.e4071b20df21ap-6);
+}
+
+// Occupancy must drain: once synchronize() has retired every copy, an
+// identical second fan-out from the same source must route exactly like
+// the first. A count that never drops would still see round one's copies
+// queued on their sources and pick different ones.
+TEST(TransferInvariance, OccupancyDrainsAfterSynchronize) {
+  cudasim::scoped_platform sp(8, tdesc());
+  cudasim::platform& p = sp.get();
+  p.set_copy_payloads(false);
+  context ctx(p);
+  ctx.set_compute_payloads(false);
+  ctx.transfer_options().trace = true;
+  constexpr std::size_t n = 1 << 22;  // 32 MiB
+  auto lX = ctx.logical_data<double, 1>(box<1>(n), "X");
+  const context_state& st = lX.impl()->ctx();
+  auto fan_out = [&] {
+    const std::size_t first = st.xfer_trace.size();
+    ctx.parallel_for(exec_place::device(0), box<1>(n), lX.write())
+            ->*[](std::size_t, slice<double>) {};  // invalidates the peers
+    for (int d = 1; d < 8; ++d) {
+      ctx.task(exec_place::device(d), lX.read())->*
+          [](cudasim::stream&, slice<const double>) {};
+    }
+    p.synchronize();
+    std::vector<std::pair<int, int>> routes;
+    for (std::size_t i = first; i < st.xfer_trace.size(); ++i) {
+      routes.emplace_back(st.xfer_trace[i].src_device,
+                          st.xfer_trace[i].dst_device);
+    }
+    return routes;
+  };
+  const auto first = fan_out();
+  const auto second = fan_out();
+  ASSERT_EQ(first.size(), 7u);
+  EXPECT_EQ(first, second);
+  EXPECT_TRUE(ctx.finalize().ok());
 }
 
 }  // namespace
