@@ -6,12 +6,15 @@
 #
 # --sanitize additionally builds an ASan+UBSan tree (build-asan) and runs
 # the fault-injection, checkpoint, eviction and transfer tests under it —
-# the error and recovery paths are where lifetime bugs would hide.
+# the error and recovery paths are where lifetime bugs would hide — plus
+# the simulator's stream/event suite (intrusive event registry).
 #
 # --tsan additionally builds a ThreadSanitizer tree (build-tsan) and runs
-# the parallel-submission, concurrency, fast-path, fault-injection and
-# transfer tests under it — multi-threaded submission under the context mutex (DESIGN.md
-# §11) is where data races would hide.
+# the parallel-submission, concurrency, fast-path, fault-injection,
+# transfer, memory-engine, eviction and simulator stream/event tests under
+# it — multi-threaded submission under the context mutex (DESIGN.md §11)
+# and event registration under the registry mutex are where data races
+# would hide.
 #
 # --bench-smoke additionally runs every --json benchmark once and diffs the
 # set of JSON record keys against the checked-in BENCH_*.json baselines —
@@ -148,7 +151,7 @@ if [[ "$sanitize" == 1 ]]; then
   cmake --build "$asan_build" -j "$jobs" \
     --target test_fault_injection test_eviction test_checkpoint \
              test_mem_engine test_integrity test_deadline \
-             test_submit_pipeline test_transfer
+             test_submit_pipeline test_transfer test_cudasim_stream
   ASAN_OPTIONS=detect_leaks=0 UBSAN_OPTIONS=halt_on_error=1 \
     "$asan_build/tests/test_fault_injection"
   ASAN_OPTIONS=detect_leaks=0 UBSAN_OPTIONS=halt_on_error=1 \
@@ -173,6 +176,10 @@ if [[ "$sanitize" == 1 ]]; then
   # would show here.
   ASAN_OPTIONS=detect_leaks=0 UBSAN_OPTIONS=halt_on_error=1 \
     "$asan_build/tests/test_transfer"
+  # Events link themselves into the platform's intrusive registry and
+  # unlink on destruction or move: a stale link would show here.
+  ASAN_OPTIONS=detect_leaks=0 UBSAN_OPTIONS=halt_on_error=1 \
+    "$asan_build/tests/test_cudasim_stream"
 fi
 
 if [[ "$tsan" == 1 ]]; then
@@ -181,7 +188,7 @@ if [[ "$tsan" == 1 ]]; then
   cmake --build "$tsan_build" -j "$jobs" \
     --target test_parallel_submit test_concurrency_api test_fastpath \
              test_fault_injection test_deadline test_submit_pipeline \
-             test_transfer
+             test_transfer test_mem_engine test_eviction test_cudasim_stream
   TSAN_OPTIONS=halt_on_error=1 "$tsan_build/tests/test_parallel_submit"
   # Raw std::thread submission into one context: the path every
   # multi-threaded submission takes.
@@ -196,4 +203,12 @@ if [[ "$tsan" == 1 ]]; then
   # The planner reads the DES completion counter unlocked, relying on the
   # context mutex that every drain runs under (DESIGN.md §6, §11).
   TSAN_OPTIONS=halt_on_error=1 "$tsan_build/tests/test_transfer"
+  # The victim lists link instances through raw pointers that every
+  # submitting thread's acquire moves; all of it runs under the context
+  # mutex (DESIGN.md §9, §11).
+  TSAN_OPTIONS=halt_on_error=1 "$tsan_build/tests/test_mem_engine"
+  TSAN_OPTIONS=halt_on_error=1 "$tsan_build/tests/test_eviction"
+  # Threads create and destroy events while another synchronizes: the
+  # registry links are guarded by the registry mutex alone.
+  TSAN_OPTIONS=halt_on_error=1 "$tsan_build/tests/test_cudasim_stream"
 fi

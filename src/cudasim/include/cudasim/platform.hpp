@@ -332,7 +332,8 @@ class platform {
   double host_memcpy_bw_ = 50.0e9;
   std::unordered_set<stream*> streams_;
   std::mutex events_mu_;
-  std::unordered_set<event*> events_;  ///< guarded by events_mu_
+  /// Head of the intrusive list of live events; guarded by events_mu_.
+  event* events_ = nullptr;
   std::shared_ptr<fault_injector> injector_;
   std::atomic<bool> has_injector_{false};
   bool alloc_fault_pending_ = false;

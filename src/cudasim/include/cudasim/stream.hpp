@@ -148,6 +148,9 @@ class event {
   timepoint t_end_ = 0.0;
   std::uint64_t stream_uid_ = 0;
   std::uint64_t seq_ = 0;
+  /// Links in the platform's event registry, guarded by its registry mutex.
+  event* reg_prev_ = nullptr;
+  event* reg_next_ = nullptr;
 };
 
 }  // namespace cudasim

@@ -775,12 +775,22 @@ void platform::synchronize() {
 
 void platform::register_event(event* e) {
   std::lock_guard lock(events_mu_);
-  events_.insert(e);
+  e->reg_prev_ = nullptr;
+  e->reg_next_ = events_;
+  if (events_ != nullptr) {
+    events_->reg_prev_ = e;
+  }
+  events_ = e;
 }
 
 void platform::unregister_event(event* e) {
   std::lock_guard lock(events_mu_);
-  events_.erase(e);
+  (e->reg_prev_ != nullptr ? e->reg_prev_->reg_next_ : events_) = e->reg_next_;
+  if (e->reg_next_ != nullptr) {
+    e->reg_next_->reg_prev_ = e->reg_prev_;
+  }
+  e->reg_prev_ = nullptr;
+  e->reg_next_ = nullptr;
 }
 
 void platform::collect_handles() {
@@ -792,7 +802,7 @@ void platform::collect_handles() {
   }
   {
     std::lock_guard lock(events_mu_);
-    for (event* e : events_) {
+    for (event* e = events_; e != nullptr; e = e->reg_next_) {
       e->drop_completed();
     }
   }

@@ -160,6 +160,7 @@ event_list acquire_dep(context_state& st, const task_dep_untyped& dep,
   inst.pinned = true;
   inst.prev_use = inst.last_use;
   inst.last_use = ++st.use_counter;
+  st.mem.on_use(inst);
 
   // allocate: make sure the instance has backing at this place.
   if (!inst.allocated) {

@@ -49,8 +49,10 @@ struct context_state {
   /// checksum identities (§10) then match a single-threaded run exactly.
   bool deterministic_order = false;
 
-  /// Every live logical data, for the eviction scan (weak: registration
-  /// does not keep data alive).
+  /// Every live logical data, for the epoch-wide sweeps (write-back,
+  /// blacklist evacuation, checkpoint, integrity). Weak: registration does
+  /// not keep data alive; expired entries are swept every 256
+  /// registrations, so the vector stays bounded without a fence.
   std::vector<std::weak_ptr<logical_data_impl>> registry;
 
   /// Completion events of asynchronous destructions (§IV-D); awaited at

@@ -53,6 +53,11 @@ struct data_instance {
   /// backing.
   static constexpr std::uint32_t not_resident = 0xffffffffu;
   std::uint32_t resident_pos = not_resident;
+  /// Links in the memory engine's last_use-ordered victim lists
+  /// (mem_engine.hpp); lru_class is 0 while the instance is in none.
+  data_instance* lru_prev = nullptr;
+  data_instance* lru_next = nullptr;
+  std::uint8_t lru_class = 0;
   event_list readers;  ///< pending ops reading this instance
   event_list writer;   ///< pending op(s) writing this instance
 

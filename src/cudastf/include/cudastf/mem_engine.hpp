@@ -6,11 +6,26 @@
 // recycle evicted blocks without a platform malloc/free round-trip, each
 // block carrying the precise completion events of its previous life
 // instead of serializing on the shared alloc stream; (2) a per-device
-// resident-instance index replacing the per-eviction full-registry scan,
-// with lookahead-aware victim scoring (clean before dirty, idle before
-// pending, and replay-log future uses when checkpointing is armed);
-// (3) batched eviction plus prefetch-back of evicted instances through the
-// transfer engine so re-fills overlap compute instead of stalling acquire.
+// resident-instance index with lookahead-aware victim scoring (clean before
+// dirty, idle before pending, and replay-log future uses when checkpointing
+// is armed); (3) batched eviction plus prefetch-back of evicted instances
+// through the transfer engine so re-fills overlap compute instead of
+// stalling acquire.
+//
+// Victim selection walks the index in key order instead of scanning it.
+// Each device keeps two intrusive lists of its resident instances, ordered
+// by last_use: the streaming class (reuse interval above scan_threshold)
+// and the hot class. A victim key is a penalty-free part fixed by the
+// class and last_use, plus nonnegative penalties, so three cursors — old
+// streaming by descending last_use from the scan_guard boundary, hot by
+// ascending last_use, young streaming by descending last_use from the tail
+// — yield instances in nondecreasing lower-bound order. The walk computes
+// each visited instance's full key and stops once the next lower bound
+// exceeds the best key found; key ties go to the lower resident-index
+// position, so the victim is the one a full scan of the index would pick.
+// The lists are built at a device's first eviction (devices that never
+// evict pay one branch per acquire) and rebuilt when scan_threshold
+// changes.
 //
 // Cached blocks still count against the device pool, so the engine trims
 // itself back to the platform under OOM pressure and at epoch boundaries
@@ -25,18 +40,17 @@
 #include <unordered_map>
 #include <vector>
 
+#include "cudastf/data.hpp"
 #include "cudastf/events.hpp"
 
 namespace cudastf {
 
 struct context_state;
-class logical_data_impl;
-struct data_instance;
 
 /// Memory-engine configuration, per context (ctx.memory_options()). Every
 /// mechanism is independently toggleable; with all three off the allocator
 /// is behaviorally identical to the pre-engine code (the resident index
-/// still replaces the registry scan, but picks the same LRU victims).
+/// picks the same LRU victims a full-registry scan would).
 struct mem_config {
   /// (1) Caching suballocator: freed device blocks are parked in binned
   /// free lists and recycled without a platform round-trip.
@@ -47,8 +61,8 @@ struct mem_config {
   /// (3) Prefetch-back: evicted instances are re-filled through the
   /// transfer engine when capacity reappears, overlapping compute.
   bool prefetch = true;
-  /// Victims evicted per OOM round; >1 amortizes the victim scan and
-  /// leaves recycled blocks ready for the allocations that follow.
+  /// Victims evicted per OOM round; >1 leaves recycled blocks ready for
+  /// the allocations that follow.
   std::size_t evict_batch = 2;
   /// Victim-score penalty (LRU-clock ticks) for a modified instance whose
   /// eviction costs a write-back.
@@ -126,8 +140,27 @@ class mem_engine {
   void on_resident(int device, logical_data_impl& d, data_instance& inst);
   void on_nonresident(int device, data_instance& inst);
 
+  /// Must follow every change of a device instance's last_use or
+  /// prev_use: moves it to its place in the victim lists.
+  void on_use(data_instance& inst) {
+    if (inst.lru_class != 0) {
+      relink(inst);
+    }
+  }
+
   /// The device's resident instances; nullptr when none were ever tracked.
   std::vector<resident_ref>* resident(int device);
+
+  /// One eviction round's choice among the device's unpinned, allocated,
+  /// not user-owned resident instances: `best` has the lowest victim key
+  /// and `lru` the lowest last_use (the pure-LRU reference behind
+  /// writebacks_avoided); both break ties by the lower resident-index
+  /// position. Empty when nothing is evictable.
+  struct victim_choice {
+    resident_ref best;
+    const data_instance* lru = nullptr;
+  };
+  victim_choice pick_victim(const context_state& st, int device);
 
   // --- prefetch-back ---
 
@@ -150,10 +183,20 @@ class mem_engine {
     std::size_t bytes = 0;
     event_list deps;
   };
+  /// Resident instances of one class, ascending last_use from head.
+  struct lru_list {
+    data_instance* head = nullptr;
+    data_instance* tail = nullptr;
+  };
   struct device_mem {
     std::unordered_map<std::size_t, std::vector<cached_block>> bins;
     std::size_t cached_bytes = 0;
     std::vector<resident_ref> resident;
+    /// Victim lists, indexed by lru_class - 1 (streaming, hot); valid once
+    /// `ordered`, for the scan_threshold they were classified under.
+    lru_list lists[2];
+    bool ordered = false;
+    std::uint64_t ordered_threshold = 0;
   };
   struct prefetch_entry {
     std::weak_ptr<logical_data_impl> data;
@@ -162,9 +205,15 @@ class mem_engine {
 
   device_mem& dev(int device);
 
+  /// (Re)builds the device's victim lists from its resident index.
+  void order(device_mem& dm);
+  /// Inserts `inst` into its class list at its last_use position.
+  void link(device_mem& dm, data_instance& inst);
+  static void unlink(device_mem& dm, data_instance& inst);
+  void relink(data_instance& inst);
+
   // deque, not vector: growing for a new device (e.g. peer staging inside
-  // an eviction) must not move other devices' entries — evict_for holds a
-  // pointer into its device's resident index across that call.
+  // an eviction) must not move other devices' entries.
   std::deque<device_mem> dev_;
   std::deque<prefetch_entry> prefetch_q_;
   bool pumping_ = false;

@@ -1,5 +1,5 @@
 // Out-of-core memory engine (DESIGN.md §9): caching suballocator,
-// resident-instance victim index with lookahead scoring, batched eviction
+// last_use-ordered victim lists walked by lookahead key, batched eviction
 // and prefetch-back. Owns context_state::alloc_with_eviction.
 //
 // Threading contract (DESIGN.md §11): allocation and eviction mutate
@@ -114,9 +114,12 @@ void mem_engine::trim_all(context_state& st) {
 
 void mem_engine::on_resident(int device, logical_data_impl& d,
                              data_instance& inst) {
-  std::vector<resident_ref>& idx = dev(device).resident;
-  inst.resident_pos = static_cast<std::uint32_t>(idx.size());
-  idx.push_back({&d, &inst});
+  device_mem& dm = dev(device);
+  inst.resident_pos = static_cast<std::uint32_t>(dm.resident.size());
+  dm.resident.push_back({&d, &inst});
+  if (dm.ordered) {
+    link(dm, inst);
+  }
 }
 
 void mem_engine::on_nonresident(int device, data_instance& inst) {
@@ -124,7 +127,11 @@ void mem_engine::on_nonresident(int device, data_instance& inst) {
       static_cast<std::size_t>(device) >= dev_.size()) {
     return;
   }
-  std::vector<resident_ref>& idx = dev_[static_cast<std::size_t>(device)].resident;
+  device_mem& dm = dev_[static_cast<std::size_t>(device)];
+  if (inst.lru_class != 0) {
+    unlink(dm, inst);
+  }
+  std::vector<resident_ref>& idx = dm.resident;
   const std::size_t pos = inst.resident_pos;
   if (pos < idx.size() && idx[pos].inst == &inst) {
     idx[pos] = idx.back();
@@ -139,6 +146,70 @@ std::vector<mem_engine::resident_ref>* mem_engine::resident(int device) {
     return nullptr;
   }
   return &dev_[static_cast<std::size_t>(device)].resident;
+}
+
+namespace {
+
+/// lru_class values; the list index is the class minus one.
+constexpr std::uint8_t streaming_class = 1;
+constexpr std::uint8_t hot_class = 2;
+
+std::uint8_t use_class(const data_instance& inst, std::uint64_t threshold) {
+  return threshold != 0 && inst.last_use - inst.prev_use > threshold
+             ? streaming_class
+             : hot_class;
+}
+
+}  // namespace
+
+void mem_engine::order(device_mem& dm) {
+  std::vector<data_instance*> by_use;
+  by_use.reserve(dm.resident.size());
+  for (const resident_ref& r : dm.resident) {
+    by_use.push_back(r.inst);
+  }
+  std::sort(by_use.begin(), by_use.end(),
+            [](const data_instance* a, const data_instance* b) {
+              return a->last_use < b->last_use;
+            });
+  dm.lists[0] = {};
+  dm.lists[1] = {};
+  dm.ordered = true;
+  dm.ordered_threshold = cfg.scan_threshold;
+  for (data_instance* inst : by_use) {
+    link(dm, *inst);  // ascending last_use: always appends at the tail
+  }
+}
+
+void mem_engine::link(device_mem& dm, data_instance& inst) {
+  inst.lru_class = use_class(inst, dm.ordered_threshold);
+  lru_list& l = dm.lists[inst.lru_class - 1];
+  // Walk back from the tail: an acquire's fresh last_use lands there.
+  data_instance* after = l.tail;
+  while (after != nullptr && after->last_use > inst.last_use) {
+    after = after->lru_prev;
+  }
+  inst.lru_prev = after;
+  inst.lru_next = after != nullptr ? after->lru_next : l.head;
+  (after != nullptr ? after->lru_next : l.head) = &inst;
+  (inst.lru_next != nullptr ? inst.lru_next->lru_prev : l.tail) = &inst;
+}
+
+void mem_engine::unlink(device_mem& dm, data_instance& inst) {
+  lru_list& l = dm.lists[inst.lru_class - 1];
+  (inst.lru_prev != nullptr ? inst.lru_prev->lru_next : l.head) =
+      inst.lru_next;
+  (inst.lru_next != nullptr ? inst.lru_next->lru_prev : l.tail) =
+      inst.lru_prev;
+  inst.lru_prev = nullptr;
+  inst.lru_next = nullptr;
+  inst.lru_class = 0;
+}
+
+void mem_engine::relink(data_instance& inst) {
+  device_mem& dm = dev_[static_cast<std::size_t>(inst.place.device_index())];
+  unlink(dm, inst);
+  link(dm, inst);
 }
 
 void mem_engine::note_eviction(logical_data_impl& d, int device) {
@@ -213,6 +284,7 @@ void mem_engine::pump_prefetch(context_state& st, int /*device*/) {
         continue;
       }
       inst.last_use = ++st.use_counter;  // fresh fill: not the next victim
+      on_use(inst);
       ++st.backend->mutable_stats().prefetch_refills;
       --budget;
     }
@@ -274,79 +346,171 @@ bool has_pending_events(const data_instance& inst) {
   return false;
 }
 
+bool evictable(const data_instance& inst) {
+  return !inst.pinned && !inst.user_owned && inst.allocated;
+}
+
+// Scan resistance: streaming instances (reuse interval beyond the
+// threshold) are evicted most-recent-first and always before hot ones.
+// scan_base splits the key space so every streaming key sorts below every
+// hot key; penalties still add on top.
+constexpr std::uint64_t scan_base = std::uint64_t{1} << 40;
+
+bool young(const mem_config& cfg, const data_instance& inst,
+           std::uint64_t use_counter) {
+  // Too young: its producers are still in flight (see scan_guard).
+  return cfg.scan_guard != 0 && inst.last_use + cfg.scan_guard > use_counter;
+}
+
+/// The victim key: lowest is evicted first. The penalty-free part depends
+/// only on the class and last_use; the penalties are nonnegative.
+std::uint64_t victim_key(const context_state& st, const mem_config& cfg,
+                         const logical_data_impl& d,
+                         const data_instance& inst) {
+  if (!cfg.lookahead) {
+    return inst.last_use;
+  }
+  std::uint64_t key;
+  if (use_class(inst, cfg.scan_threshold) == streaming_class) {
+    key = scan_base - inst.last_use;
+    if (young(cfg, inst, st.use_counter)) {
+      key += scan_base / 2;
+    }
+  } else {
+    key = inst.last_use + scan_base;
+  }
+  if (inst.state == msi_state::modified) {
+    key += cfg.dirty_penalty;
+  }
+  if (cfg.pending_penalty != 0 && has_pending_events(inst)) {
+    key += cfg.pending_penalty;
+  }
+  if (st.ckpt != nullptr && cfg.future_penalty != 0 &&
+      st.ckpt->has_future_use(&d)) {
+    key += cfg.future_penalty;
+  }
+  return key;
+}
+
+/// Walks part of one victim list in nondecreasing penalty-free key order:
+/// base + last_use forward from `at`, or base - last_use backward.
+struct victim_cursor {
+  data_instance* at = nullptr;
+  data_instance* end = nullptr;  ///< exclusive
+  std::uint64_t base = 0;
+  bool backward = false;
+
+  bool done() const { return at == end; }
+  std::uint64_t bound() const {
+    return backward ? base - at->last_use : base + at->last_use;
+  }
+  data_instance& next() {
+    data_instance& inst = *at;
+    at = backward ? at->lru_prev : at->lru_next;
+    return inst;
+  }
+};
+
+/// Strictly better victim: lower key, ties to the lower index position.
+bool better(std::uint64_t key, const data_instance& inst,
+            std::uint64_t best_key, const data_instance* best) {
+  return key < best_key || (best != nullptr && key == best_key &&
+                            inst.resident_pos < best->resident_pos);
+}
+
 }  // namespace
 
-bool context_state::evict_for(int device, std::size_t bytes_needed) {
-  // Expired registrations must not linger in long-running contexts; the
-  // OOM slow path is the natural (and cheap) place to collect them.
-  sweep_registry();
-  std::vector<mem_engine::resident_ref>* idx = mem.resident(device);
-  if (idx == nullptr || idx->empty()) {
-    return false;
+mem_engine::victim_choice mem_engine::pick_victim(const context_state& st,
+                                                  int device) {
+  if (static_cast<std::size_t>(device) >= dev_.size()) {
+    return {};
   }
+  device_mem& dm = dev_[static_cast<std::size_t>(device)];
+  if (!dm.ordered || dm.ordered_threshold != cfg.scan_threshold) {
+    order(dm);
+  }
+  const lru_list& streaming = dm.lists[streaming_class - 1];
+  const lru_list& hot = dm.lists[hot_class - 1];
+  victim_cursor cur[3];
+  std::size_t n = 0;
+  if (cfg.lookahead) {
+    // Young streaming instances are a suffix of the streaming list.
+    data_instance* old_end = streaming.tail;
+    while (old_end != nullptr && young(cfg, *old_end, st.use_counter)) {
+      old_end = old_end->lru_prev;
+    }
+    cur[n++] = {old_end, nullptr, scan_base, true};
+    cur[n++] = {hot.head, nullptr, scan_base, false};
+    cur[n++] = {streaming.tail, old_end, scan_base + scan_base / 2, true};
+  } else {
+    cur[n++] = {streaming.head, nullptr, 0, false};
+    cur[n++] = {hot.head, nullptr, 0, false};
+  }
+  data_instance* best = nullptr;
+  std::uint64_t best_key = std::numeric_limits<std::uint64_t>::max();
+  for (;;) {
+    victim_cursor* c = nullptr;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (!cur[i].done() && (c == nullptr || cur[i].bound() < c->bound())) {
+        c = &cur[i];
+      }
+    }
+    // Every unvisited key is >= the smallest bound; equal may still win
+    // the tie on index position.
+    if (c == nullptr || c->bound() > best_key) {
+      break;
+    }
+    data_instance& inst = c->next();
+    if (!evictable(inst)) {
+      continue;
+    }
+    const std::uint64_t key =
+        victim_key(st, cfg, *dm.resident[inst.resident_pos].data, inst);
+    if (better(key, inst, best_key, best)) {
+      best_key = key;
+      best = &inst;
+    }
+  }
+  // Pure-LRU reference (without lookahead the key is last_use, so it is
+  // `best`): the least recent evictable instance near either list's head.
+  data_instance* lru = best;
+  if (cfg.lookahead) {
+    lru = nullptr;
+    for (const lru_list& l : dm.lists) {
+      for (data_instance* p = l.head; p != nullptr; p = p->lru_next) {
+        if (lru != nullptr && p->last_use > lru->last_use) {
+          break;
+        }
+        if (evictable(*p) &&
+            (lru == nullptr || better(p->last_use, *p, lru->last_use, lru))) {
+          lru = p;
+        }
+      }
+    }
+  }
+  if (best == nullptr) {
+    return {};
+  }
+  return {dm.resident[best->resident_pos], lru};
+}
+
+bool context_state::evict_for(int device, std::size_t bytes_needed) {
   backend_stats& bs = backend->mutable_stats();
-  const bool la = mem.cfg.lookahead;
   const std::size_t batch = std::max<std::size_t>(1, mem.cfg.evict_batch);
   std::size_t evicted = 0;
   std::size_t freed = 0;
   while (evicted < batch || freed < bytes_needed) {
-    mem_engine::resident_ref best{};
-    mem_engine::resident_ref lru{};
-    std::uint64_t best_key = std::numeric_limits<std::uint64_t>::max();
-    std::uint64_t lru_key = std::numeric_limits<std::uint64_t>::max();
-    for (const mem_engine::resident_ref& r : *idx) {
-      const data_instance& inst = *r.inst;
-      if (inst.pinned || inst.user_owned || !inst.allocated) {
-        continue;
-      }
-      std::uint64_t key = inst.last_use;
-      if (key < lru_key) {
-        lru_key = key;
-        lru = r;
-      }
-      if (la) {
-        // Scan resistance: streaming instances (reuse interval beyond the
-        // threshold) are evicted most-recent-first and always before hot
-        // ones. scan_base splits the key space so every streaming key
-        // sorts below every hot key; penalties still add on top.
-        constexpr std::uint64_t scan_base = std::uint64_t{1} << 40;
-        if (mem.cfg.scan_threshold != 0 &&
-            inst.last_use - inst.prev_use > mem.cfg.scan_threshold) {
-          key = scan_base - inst.last_use;
-          if (mem.cfg.scan_guard != 0 &&
-              inst.last_use + mem.cfg.scan_guard > use_counter) {
-            // Too young: its producers are still in flight (see scan_guard).
-            key += scan_base / 2;
-          }
-        } else {
-          key += scan_base;
-        }
-        if (inst.state == msi_state::modified) {
-          key += mem.cfg.dirty_penalty;
-        }
-        if (mem.cfg.pending_penalty != 0 && has_pending_events(inst)) {
-          key += mem.cfg.pending_penalty;
-        }
-        if (ckpt != nullptr && mem.cfg.future_penalty != 0 &&
-            ckpt->has_future_use(r.data)) {
-          key += mem.cfg.future_penalty;
-        }
-      }
-      if (key < best_key) {
-        best_key = key;
-        best = r;
-      }
-    }
-    if (best.inst == nullptr) {
+    const mem_engine::victim_choice choice = mem.pick_victim(*this, device);
+    if (choice.best.inst == nullptr) {
       break;
     }
-    if (la && best.inst->state != msi_state::modified &&
-        lru.inst != best.inst && lru.inst != nullptr &&
-        lru.inst->state == msi_state::modified) {
+    if (mem.cfg.lookahead && choice.best.inst->state != msi_state::modified &&
+        choice.lru != choice.best.inst && choice.lru != nullptr &&
+        choice.lru->state == msi_state::modified) {
       ++bs.writebacks_avoided;  // pure LRU would have paid a write-back here
     }
-    logical_data_impl& d = *best.data;
-    data_instance& victim = *best.inst;
+    logical_data_impl& d = *choice.best.data;
+    data_instance& victim = *choice.best.inst;
     // Trust boundary (integrity engine, DESIGN.md §10): a modified victim
     // is about to become the data's only copy via write-back — never
     // persist corrupt bytes. A corrupt victim with a verified sharer is

@@ -511,6 +511,7 @@ bool stage_eviction_to_peer(context_state& st, logical_data_impl& d,
   }
   peer.state = msi_state::modified;  // the victim copy is about to vanish
   peer.last_use = victim.last_use;   // keep the data's LRU age, not refresh it
+  st.mem.on_use(peer);
   return true;
 }
 

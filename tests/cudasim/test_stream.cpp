@@ -2,7 +2,10 @@
 // copies, stream-ordered allocation, host callbacks, virtual clock.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <memory>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include "cudasim/cudasim.hpp"
@@ -202,6 +205,110 @@ TEST(Stream, ManyOpsGetReclaimed) {
     p.synchronize();
   }
   EXPECT_EQ(p.ops_completed(), 20000u);
+}
+
+// --- event registry ---------------------------------------------------
+//
+// Every live event is linked into its platform's registry, so a
+// synchronize() drops the event's pointer to its completed node however
+// the event was created, moved or destroyed. An event the registry lost
+// would keep pointing at a node the timeline recycles.
+
+bool collected(const event& e) { return e.node() == nullptr; }
+
+TEST(EventRegistry, MovedEventsStayRegistered) {
+  platform p(1, small_desc());
+  stream s(p);
+  std::vector<event> events;  // growth moves the earlier events
+  for (int i = 0; i < 17; ++i) {
+    p.launch_kernel(s, {.name = "k"}, {});
+    events.emplace_back(p);
+    events.back().record(s);
+  }
+  event moved(std::move(events[3]));
+  EXPECT_FALSE(collected(moved));  // its kernel has not run yet
+  p.synchronize();
+  EXPECT_TRUE(collected(moved));
+  for (const event& e : events) {
+    EXPECT_TRUE(collected(e));
+  }
+}
+
+TEST(EventRegistry, DestructionOutOfCreationOrder) {
+  platform p(1, small_desc());
+  stream s(p);
+  std::vector<std::unique_ptr<event>> events;
+  auto record_new = [&] {
+    p.launch_kernel(s, {.name = "k"}, {});
+    events.push_back(std::make_unique<event>(p));
+    events.back()->record(s);
+  };
+  for (int i = 0; i < 24; ++i) {
+    record_new();
+  }
+  // Unlink from the head, the tail and the middle of the registry, then
+  // register more into the gaps.
+  for (std::size_t i : {23u, 0u, 11u, 5u, 22u, 1u, 17u}) {
+    events[i].reset();
+  }
+  for (int i = 0; i < 4; ++i) {
+    record_new();
+  }
+  events[25].reset();
+  p.synchronize();
+  std::size_t live = 0;
+  for (const auto& e : events) {
+    if (e != nullptr) {
+      EXPECT_TRUE(collected(*e));
+      ++live;
+    }
+  }
+  EXPECT_EQ(live, 20u);
+}
+
+TEST(EventRegistry, ConcurrentCreateDestroyWhileSynchronizing) {
+  platform p(1, small_desc());
+  constexpr int workers = 4;
+  std::vector<stream> streams;
+  streams.reserve(workers);
+  for (int w = 0; w < workers; ++w) {
+    streams.emplace_back(p);
+  }
+  // Each worker keeps its last few events alive and destroys older ones,
+  // while another thread collects handles over and over.
+  std::vector<std::vector<std::unique_ptr<event>>> kept(workers);
+  std::atomic<bool> done{false};
+  std::thread syncer([&] {
+    while (!done.load()) {
+      p.synchronize();
+    }
+  });
+  std::vector<std::thread> threads;
+  for (int w = 0; w < workers; ++w) {
+    threads.emplace_back([&, w] {
+      std::vector<std::unique_ptr<event>>& mine = kept[w];
+      for (int i = 0; i < 300; ++i) {
+        p.launch_kernel(streams[w], {.name = "k"}, {});
+        mine.push_back(std::make_unique<event>(p));
+        mine.back()->record(streams[w]);
+        if (mine.size() > 4) {
+          mine.erase(mine.begin() + (i % 4));
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) {
+    t.join();
+  }
+  done = true;
+  syncer.join();
+  p.synchronize();
+  for (const auto& mine : kept) {
+    ASSERT_EQ(mine.size(), 4u);
+    for (const auto& e : mine) {
+      EXPECT_TRUE(collected(*e));
+    }
+  }
 }
 
 }  // namespace

@@ -3,10 +3,17 @@
 // and their interaction with fault injection.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <cstdio>
 #include <cstring>
+#include <deque>
+#include <limits>
+#include <random>
 #include <vector>
 
 #include "blaslib/tiled_cholesky.hpp"
+#include "cudastf/context_state.hpp"
 #include "cudastf/cudastf.hpp"
 #include "cudastf/mem_engine.hpp"
 
@@ -211,6 +218,452 @@ TEST(MemEngine, InjectedAllocFaultRetriedThroughCache) {
   for (int b = 0; b < blocks; ++b) {
     EXPECT_DOUBLE_EQ(host[b][0], double(b + 1)) << b;
   }
+}
+
+TEST(MemEngine, RegistryStaysBoundedWithoutFence) {
+  // Registration sweeps expired entries every 256 registrations; nothing
+  // else has to. 10k short-lived data in one epoch, under enough pool
+  // pressure to evict, must not grow the registry.
+  cudasim::scoped_platform sp(1, small_pool_desc(4u << 20));
+  sp.get().set_copy_payloads(false);
+  context ctx(sp.get());
+  ctx.set_compute_payloads(false);
+  constexpr std::size_t elems = (1u << 20) / sizeof(double);
+  std::vector<logical_data<slice<double>>> keep;
+  for (int k = 0; k < 4; ++k) {
+    keep.push_back(ctx.logical_data<double, 1>(box<1>(elems), "keep"));
+  }
+  const context_state& st = keep[0].impl()->ctx();
+  std::size_t peak = 0;
+  for (int i = 0; i < 10000; ++i) {
+    auto tmp = ctx.logical_data<double, 1>(box<1>(elems), "tmp");
+    ctx.task(keep[i % 4].rw(), tmp.write())
+            ->*[](cudasim::stream&, slice<double>, slice<double>) {};
+    peak = std::max(peak, st.registry.size());
+  }
+  EXPECT_LT(peak, 512u);
+  EXPECT_GT(ctx.stats().evictions, 0u);
+  EXPECT_TRUE(ctx.finalize().ok());
+}
+
+// --- victim-order invariance -------------------------------------------
+//
+// Which instance evict_for picks decides every later routing decision and
+// the virtual clock. The values below were recorded with the original
+// victim choice (a full scan of the device's resident instances per
+// victim); any cheaper selection must reproduce them exactly.
+
+// FNV-1a over every planned transfer, in planning order.
+std::uint64_t trace_hash(const std::vector<transfer_record>& trace) {
+  std::uint64_t h = 1469598103934665603ull;
+  auto mix = [&h](std::uint64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      h = (h ^ ((v >> (8 * b)) & 0xff)) * 1099511628211ull;
+    }
+  };
+  for (const transfer_record& r : trace) {
+    mix(static_cast<std::uint64_t>(static_cast<std::int64_t>(r.src_device)));
+    mix(static_cast<std::uint64_t>(static_cast<std::int64_t>(r.dst_device)));
+    mix(r.bytes);
+    mix(r.chunks);
+    mix(r.coalesced ? 1 : 0);
+  }
+  return h;
+}
+
+struct victim_cell {
+  bool lookahead;
+  std::uint64_t scan_threshold;
+  std::uint64_t scan_guard;
+  std::uint64_t dirty_penalty;
+};
+
+struct victim_outcome {
+  std::uint64_t evictions = 0;
+  std::uint64_t clean_drops = 0;
+  std::uint64_t writebacks_avoided = 0;
+  std::uint64_t hash = 0;
+  double now = 0.0;
+};
+
+bool operator==(const victim_outcome& a, const victim_outcome& b) {
+  return a.evictions == b.evictions && a.clean_drops == b.clean_drops &&
+         a.writebacks_avoided == b.writebacks_avoided && a.hash == b.hash &&
+         a.now == b.now;
+}
+
+std::ostream& operator<<(std::ostream& os, const victim_outcome& o) {
+  char now[64];
+  std::snprintf(now, sizeof now, "%a", o.now);
+  return os << "{" << o.evictions << ", " << o.clean_drops << ", "
+            << o.writebacks_avoided << ", 0x" << std::hex << o.hash
+            << std::dec << "ull, " << now << "}";
+}
+
+// Timing-only 28x28-tile Cholesky on 4 A100 models whose pools hold 120
+// of its 406 tiles each: thousands of evictions, with reuse intervals on
+// both sides of the default scan threshold. `then` (when set)
+// reconfigures the engine after a fence and factors the matrix again.
+victim_outcome run_victim_cholesky(const victim_cell& cell,
+                                   const victim_cell* then = nullptr) {
+  constexpr std::size_t block = 256, tiles = 28;
+  cudasim::scoped_platform sp(4, cudasim::a100_desc());
+  cudasim::platform& p = sp.get();
+  for (int d = 0; d < 4; ++d) {
+    p.device(d).set_pool_capacity(120 * block * block * sizeof(double));
+  }
+  p.set_copy_payloads(false);
+  blaslib::tile_matrix mat(tiles * block, block, /*zero_init=*/false);
+  context ctx(p);
+  ctx.set_compute_payloads(false);
+  ctx.transfer_options().trace = true;
+  auto configure = [&ctx](const victim_cell& c) {
+    mem_config& m = ctx.memory_options();
+    m.lookahead = c.lookahead;
+    m.scan_threshold = c.scan_threshold;
+    m.scan_guard = c.scan_guard;
+    m.dirty_penalty = c.dirty_penalty;
+  };
+  auto probe = ctx.logical_data<double, 1>(box<1>(1), "probe");
+  const context_state& st = probe.impl()->ctx();
+  configure(cell);
+  blaslib::cholesky_options opts;
+  opts.block = block;
+  opts.compute = false;
+  blaslib::tiled_cholesky_stf(ctx, mat, opts);
+  if (then != nullptr) {
+    ctx.fence();
+    configure(*then);
+    blaslib::tiled_cholesky_stf(ctx, mat, opts);
+  }
+  const error_report rep = ctx.finalize();
+  EXPECT_TRUE(rep.ok()) << rep.to_string();
+  victim_outcome o;
+  o.evictions = ctx.stats().evictions;
+  o.clean_drops = ctx.stats().clean_drops;
+  o.writebacks_avoided = ctx.stats().writebacks_avoided;
+  o.hash = trace_hash(st.xfer_trace);
+  o.now = p.now();
+  return o;
+}
+
+constexpr std::uint64_t default_dirty = mem_config{}.dirty_penalty;
+
+// {lookahead on, off} x {scan_threshold 768, 0} x {scan_guard 192, 0} x
+// {default dirty_penalty, 1 << 20}. With lookahead off the victim is pure
+// LRU, so the last eight cells agree.
+TEST(VictimOrderInvariance, ConfigMatrix) {
+  constexpr std::uint64_t big_dirty = std::uint64_t{1} << 20;
+  const struct {
+    victim_cell cell;
+    victim_outcome expect;
+  } table[] = {
+      {{true, 768, 192, default_dirty},
+       {2532, 1093, 11, 0xdf1061d5713372f1ull, 0x1.d7bba87191afdp-6}},
+      {{true, 768, 192, big_dirty},
+       {992, 992, 334, 0x2e9e61b759e4703aull, 0x1.27d5d3040ad28p-7}},
+      {{true, 768, 0, default_dirty},
+       {2806, 1572, 31, 0x5291b102805ceacaull, 0x1.45d4db360521dp-5}},
+      {{true, 768, 0, big_dirty},
+       {1552, 1552, 516, 0x1a4ab811cb6f2490ull, 0x1.26e3afb4ef184p-7}},
+      {{true, 0, 192, default_dirty},
+       {1522, 1017, 159, 0xf9b05a9914ff5cb3ull, 0x1.04033b066a374p-6}},
+      {{true, 0, 192, big_dirty},
+       {1010, 1010, 367, 0x7abe6eae188e9c33ull, 0x1.24174cfebeed4p-7}},
+      {{true, 0, 0, default_dirty},
+       {1522, 1017, 159, 0xf9b05a9914ff5cb3ull, 0x1.04033b066a374p-6}},
+      {{true, 0, 0, big_dirty},
+       {1010, 1010, 367, 0x7abe6eae188e9c33ull, 0x1.24174cfebeed4p-7}},
+      {{false, 768, 192, default_dirty},
+       {1642, 1024, 0, 0x8f269dac7352ef08ull, 0x1.28837df088c4fp-6}},
+      {{false, 768, 192, big_dirty},
+       {1642, 1024, 0, 0x8f269dac7352ef08ull, 0x1.28837df088c4fp-6}},
+      {{false, 768, 0, default_dirty},
+       {1642, 1024, 0, 0x8f269dac7352ef08ull, 0x1.28837df088c4fp-6}},
+      {{false, 768, 0, big_dirty},
+       {1642, 1024, 0, 0x8f269dac7352ef08ull, 0x1.28837df088c4fp-6}},
+      {{false, 0, 192, default_dirty},
+       {1642, 1024, 0, 0x8f269dac7352ef08ull, 0x1.28837df088c4fp-6}},
+      {{false, 0, 192, big_dirty},
+       {1642, 1024, 0, 0x8f269dac7352ef08ull, 0x1.28837df088c4fp-6}},
+      {{false, 0, 0, default_dirty},
+       {1642, 1024, 0, 0x8f269dac7352ef08ull, 0x1.28837df088c4fp-6}},
+      {{false, 0, 0, big_dirty},
+       {1642, 1024, 0, 0x8f269dac7352ef08ull, 0x1.28837df088c4fp-6}},
+  };
+  for (const auto& row : table) {
+    const victim_cell& c = row.cell;
+    EXPECT_EQ(run_victim_cholesky(c), row.expect)
+        << "lookahead " << c.lookahead << ", scan_threshold "
+        << c.scan_threshold << ", scan_guard " << c.scan_guard
+        << ", dirty_penalty " << c.dirty_penalty;
+  }
+}
+
+// Changing scan_threshold moves instances between the streaming and hot
+// classes; a run that changes it between two fences must pick the same
+// victims as the original full scan.
+TEST(VictimOrderInvariance, ScanThresholdChangedBetweenFences) {
+  const victim_cell first{true, 768, 192, default_dirty};
+  const victim_cell second{true, 96, 192, default_dirty};
+  const victim_outcome expect{4238, 2148, 11, 0xe0a0cd87fac6eb80ull,
+                              0x1.668c115255de4p-5};
+  EXPECT_EQ(run_victim_cholesky(first, &second), expect);
+}
+
+// --- ordered victim walk against the full scan ---------------------------
+
+bool evictable(const data_instance& inst) {
+  return !inst.pinned && !inst.user_owned && inst.allocated;
+}
+
+bool streaming(const mem_config& cfg, const data_instance& inst) {
+  return cfg.scan_threshold != 0 &&
+         inst.last_use - inst.prev_use > cfg.scan_threshold;
+}
+
+// The victim key exactly as the full scan computed it.
+std::uint64_t reference_key(const context_state& st,
+                            const data_instance& inst) {
+  const mem_config& cfg = st.mem.cfg;
+  if (!cfg.lookahead) {
+    return inst.last_use;
+  }
+  constexpr std::uint64_t scan_base = std::uint64_t{1} << 40;
+  std::uint64_t key;
+  if (streaming(cfg, inst)) {
+    key = scan_base - inst.last_use;
+    if (cfg.scan_guard != 0 &&
+        inst.last_use + cfg.scan_guard > st.use_counter) {
+      key += scan_base / 2;
+    }
+  } else {
+    key = inst.last_use + scan_base;
+  }
+  if (inst.state == msi_state::modified) {
+    key += cfg.dirty_penalty;
+  }
+  bool pending = false;
+  for (const event_list* l : {&inst.writer, &inst.readers}) {
+    for (const event_ptr& e : *l) {
+      pending = pending || (e && !e->completed());
+    }
+  }
+  if (cfg.pending_penalty != 0 && pending) {
+    key += cfg.pending_penalty;
+  }
+  return key;
+}
+
+// The victim choice as a full scan of the device's resident index made
+// it: lowest key, first in index order on ties, and the least recently
+// used evictable instance beside it.
+mem_engine::victim_choice reference_scan(context_state& st, int device) {
+  mem_engine::victim_choice out;
+  std::uint64_t best_key = std::numeric_limits<std::uint64_t>::max();
+  std::uint64_t lru_key = std::numeric_limits<std::uint64_t>::max();
+  for (const mem_engine::resident_ref& r : *st.mem.resident(device)) {
+    if (!evictable(*r.inst)) {
+      continue;
+    }
+    if (r.inst->last_use < lru_key) {
+      lru_key = r.inst->last_use;
+      out.lru = r.inst;
+    }
+    const std::uint64_t key = reference_key(st, *r.inst);
+    if (key < best_key) {
+      best_key = key;
+      out.best = r;
+    }
+  }
+  return out;
+}
+
+struct walk_fixture {
+  cudasim::scoped_platform sp{1, cudasim::a100_desc()};
+  context ctx{sp.get()};
+  std::deque<std::vector<double>> host;
+  std::vector<logical_data<slice<const double>>> data;
+
+  walk_fixture() {
+    sp.get().set_copy_payloads(false);
+    ctx.set_compute_payloads(false);
+  }
+  context_state& st() { return data.front().impl()->ctx(); }
+  data_instance& inst(std::size_t i) {
+    return data[i].impl()->instance_at(data_place::device(0));
+  }
+  /// A new logical data, resident on device 0; its host copy stays valid,
+  /// so it can be dropped from the device and refilled.
+  void add() {
+    host.emplace_back(64, 1.0);
+    data.push_back(ctx.logical_data(
+        static_cast<const double*>(host.back().data()), host.back().size(),
+        "d"));
+    ctx.task(exec_place::device(0), data.back().read())
+            ->*[](cudasim::stream&, slice<const double>) {};
+  }
+  /// Drops datum i's device copy and refills it through prefetch-back,
+  /// which re-links the instance with a fresh last_use.
+  void evict_and_refill(std::size_t i) {
+    data_instance& x = inst(i);
+    if (!x.allocated || x.pinned) {
+      return;
+    }
+    logical_data_impl& d = *data[i].impl();
+    release_device_instance(st(), d, x, /*recycle=*/false);
+    st().mem.note_eviction(d, 0);
+    st().mem.pump_prefetch(st(), 0);
+  }
+  void expect_matches_scan(const char* what) {
+    const mem_engine::victim_choice want = reference_scan(st(), 0);
+    const mem_engine::victim_choice got = st().mem.pick_victim(st(), 0);
+    ASSERT_NE(want.best.inst, nullptr) << what;
+    EXPECT_EQ(got.best.inst, want.best.inst) << what;
+    EXPECT_EQ(got.best.data, want.best.data) << what;
+    EXPECT_EQ(got.lru, want.lru) << what;
+  }
+};
+
+// Equal keys must go to the lower index position even when the walk meets
+// the higher one first: the walk may only stop once the next lower bound
+// is strictly above the best key.
+TEST(VictimWalk, TiesGoToLowerIndexPosition) {
+  walk_fixture f;
+  for (int i = 0; i < 8; ++i) {
+    f.add();
+  }
+  mem_config& cfg = f.ctx.memory_options();
+  f.st().mem.pick_victim(f.st(), 0);  // builds the lists
+
+  // last_use == 0 everywhere, relinked in reverse index order so the
+  // list meets the highest position first.
+  cfg.lookahead = false;
+  for (std::size_t i = f.data.size(); i-- > 0;) {
+    f.inst(i).last_use = 0;
+    f.inst(i).prev_use = 0;
+    f.st().mem.on_use(f.inst(i));
+  }
+  f.expect_matches_scan("last_use == 0 ties");
+  EXPECT_EQ(f.st().mem.pick_victim(f.st(), 0).best.inst->resident_pos, 0u);
+
+  // A dirty old streaming instance (met first, key base - 100 + 110) ties
+  // a clean hot one (base + 10) at a lower index position.
+  cfg.lookahead = true;
+  cfg.scan_threshold = 50;
+  cfg.scan_guard = 0;
+  cfg.pending_penalty = 0;
+  cfg.dirty_penalty = 110;
+  f.st().use_counter = 1000;
+  for (std::size_t i = 0; i < f.data.size(); ++i) {
+    data_instance& x = f.inst(i);
+    x.state = msi_state::shared;
+    x.prev_use = 20 + i;
+    x.last_use = 20 + i;  // hot, key base + 20 + i
+    f.st().mem.on_use(x);
+  }
+  data_instance* hot = nullptr;
+  data_instance* streaming = nullptr;
+  for (std::size_t i = 0; i < f.data.size(); ++i) {
+    data_instance& x = f.inst(i);
+    if (x.resident_pos == 2) {
+      hot = &x;
+    } else if (x.resident_pos == 5) {
+      streaming = &x;
+    }
+  }
+  ASSERT_TRUE(hot != nullptr && streaming != nullptr);
+  hot->prev_use = 5;
+  hot->last_use = 10;
+  f.st().mem.on_use(*hot);
+  streaming->prev_use = 0;
+  streaming->last_use = 100;
+  streaming->state = msi_state::modified;
+  f.st().mem.on_use(*streaming);
+  f.expect_matches_scan("cross-class tie");
+  EXPECT_EQ(f.st().mem.pick_victim(f.st(), 0).best.inst, hot);
+  EXPECT_TRUE(f.ctx.finalize().ok());
+}
+
+// Random resident populations, use histories, pins, states and engine
+// settings — including crafted cross-class full-key ties, duplicate and
+// zero last_use values, threshold changes (list rebuilds), instances
+// arriving and leaving, and prefetch-back refills between choices.
+TEST(VictimWalk, MatchesFullScanRandomized) {
+  walk_fixture f;
+  for (int i = 0; i < 48; ++i) {
+    f.add();
+  }
+  std::mt19937_64 rng(20241117);
+  auto pick = [&rng](std::uint64_t n) { return rng() % n; };
+  mem_config& cfg = f.ctx.memory_options();
+  std::size_t ties = 0;
+  std::size_t cross_class_ties = 0;
+  for (int round = 0; round < 5000; ++round) {
+    SCOPED_TRACE(round);
+    if (pick(4) == 0) {
+      // Leave (the destructor drops the instance) and arrive.
+      f.data.erase(f.data.begin() +
+                   static_cast<std::ptrdiff_t>(pick(f.data.size())));
+      f.add();
+    }
+    if (pick(3) == 0) {
+      f.evict_and_refill(pick(f.data.size()));
+    }
+    if (pick(8) == 0) {
+      f.sp.get().synchronize();  // retire pending events
+    }
+    const std::uint64_t span = 1 + pick(200);
+    for (std::size_t i = 0; i < f.data.size(); ++i) {
+      data_instance& x = f.inst(i);
+      if (pick(3) != 0) {
+        continue;  // keep some history across rounds
+      }
+      x.last_use = pick(4) == 0 ? 0 : pick(span);
+      x.prev_use = pick(span);  // may exceed last_use: interval wraps
+      x.pinned = pick(10) == 0;
+      x.state = pick(2) == 0 ? msi_state::modified : msi_state::shared;
+      f.st().mem.on_use(x);
+    }
+    f.st().use_counter = pick(span + 64);
+    cfg.lookahead = pick(5) != 0;
+    if (pick(8) == 0) {
+      cfg.scan_threshold = pick(3) == 0 ? 0 : pick(span);
+    }
+    cfg.scan_guard = pick(3) == 0 ? 0 : pick(span);
+    cfg.pending_penalty = pick(2) == 0 ? 0 : pick(64);
+    // Dirty penalty that makes a dirty streaming instance a and a clean
+    // hot instance b tie exactly: base - a + p == base + b.
+    const data_instance& a = f.inst(pick(f.data.size()));
+    const data_instance& b = f.inst(pick(f.data.size()));
+    cfg.dirty_penalty =
+        pick(2) == 0 ? a.last_use + b.last_use : pick(2 * span);
+    const mem_engine::victim_choice want = reference_scan(f.st(), 0);
+    const mem_engine::victim_choice got = f.st().mem.pick_victim(f.st(), 0);
+    ASSERT_EQ(got.best.inst, want.best.inst);
+    ASSERT_EQ(got.best.data, want.best.data);
+    ASSERT_EQ(got.lru, want.lru);
+    // Count choices an exact full-key tie decided, to show they happen.
+    if (want.best.inst != nullptr) {
+      const std::uint64_t best_key = reference_key(f.st(), *want.best.inst);
+      bool tie = false;
+      bool cross = false;
+      for (const mem_engine::resident_ref& r : *f.st().mem.resident(0)) {
+        if (r.inst != want.best.inst && evictable(*r.inst) &&
+            reference_key(f.st(), *r.inst) == best_key) {
+          tie = true;
+          cross = cross || streaming(cfg, *r.inst) !=
+                               streaming(cfg, *want.best.inst);
+        }
+      }
+      ties += tie;
+      cross_class_ties += cross;
+    }
+  }
+  EXPECT_GT(ties, 1000u);
+  EXPECT_GT(cross_class_ties, 100u);
+  EXPECT_GT(f.ctx.stats().prefetch_refills, 1000u);
+  EXPECT_TRUE(f.ctx.finalize().ok());
 }
 
 }  // namespace
