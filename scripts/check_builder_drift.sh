@@ -40,6 +40,11 @@ banned=(
   'reroute_device'
   'record_failure'
   'pick_heft_device'
+  # The round loop (retry, re-route, per-shard failure) lives in
+  # submit_pipeline::execute; a builder naming its outcome types is
+  # regrowing it.
+  'resilient_result'
+  'bad_device'
 )
 
 status=0

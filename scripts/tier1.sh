@@ -22,9 +22,9 @@
 # values themselves.
 #
 # --chaos additionally runs a seeded fault-injection soak: the checkpoint,
-# fault-injection and integrity (silent-corruption) suites loop over
-# distinct seeds until the wall-clock budget (CHAOS_BUDGET seconds, default
-# 60) is spent. Seeds are printed so a failure reproduces with
+# fault-injection, integrity (silent-corruption), deadline and submission
+# pipeline (failure-outcome matrix) suites loop over distinct seeds until
+# the wall-clock budget (CHAOS_BUDGET seconds, default 60) is spent. Seeds are printed so a failure reproduces with
 # CHAOS_SEED=<n>.
 set -euo pipefail
 
@@ -137,6 +137,11 @@ if [[ "$chaos" == 1 ]]; then
     # (permanent and transient stalls, backpressure, cancellation); shuffled
     # ordering varies pool recycling across rounds.
     "$build/tests/test_deadline" \
+      --gtest_shuffle --gtest_random_seed="$((seed % 30000))" \
+      --gtest_brief=1
+    # Failure-outcome matrix: every construct under every failure class on
+    # both backends, through the one submission round loop.
+    "$build/tests/test_submit_pipeline" \
       --gtest_shuffle --gtest_random_seed="$((seed % 30000))" \
       --gtest_brief=1
     seed=$((seed + 1))

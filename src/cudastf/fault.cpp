@@ -4,9 +4,10 @@
 // host evacuation and deterministic re-routing.
 //
 // Pipeline hook points (DESIGN.md §13): poison-cancel runs as the
-// pipeline's pre-acquire stage (cancel_if_poisoned); retry/re-route is
-// the resilient run path (run_resilient, driven by the execute_*
-// drivers' round loops); recording and escalation form the failure
+// pipeline's pre-acquire stage (cancel_if_poisoned); transient retry is
+// the resilient run path (run_resilient) and re-route is
+// filter_blacklisted, both driven by the one round loop
+// (submit_pipeline::execute); recording and escalation form the failure
 // ladder (fail_task / fail_task_or_restart) in submit.cpp.
 #include <algorithm>
 #include <limits>
@@ -435,20 +436,26 @@ void msi_snapshot::restore() const {
   }
 }
 
-void filter_blacklisted(context_state& st, std::vector<int>& devices) {
-  const std::vector<int> original = devices;
-  std::erase_if(devices, [&](int d) { return st.device_blacklisted(d); });
-  if (!devices.empty() || original.empty()) {
-    return;
+bool filter_blacklisted(context_state& st, int* devices, std::size_t& n) {
+  const auto dead = [&](int d) { return st.device_blacklisted(d); };
+  if (std::none_of(devices, devices + n, dead)) {
+    return false;
+  }
+  const std::vector<int> original(devices, devices + n);
+  n = static_cast<std::size_t>(std::remove_if(devices, devices + n, dead) -
+                               devices);
+  if (n > 0) {
+    return true;
   }
   // Every requested device failed: re-route each onto a survivor the same
   // deterministic way single-device submissions are re-routed.
   for (int d : original) {
     const int r = st.reroute_device(d);  // throws when nothing survives
-    if (std::find(devices.begin(), devices.end(), r) == devices.end()) {
-      devices.push_back(r);
+    if (std::find(devices, devices + n, r) == devices + n) {
+      devices[n++] = r;
     }
   }
+  return true;
 }
 
 resilient_result run_resilient(

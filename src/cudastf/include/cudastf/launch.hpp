@@ -47,7 +47,7 @@ class [[nodiscard]] launch_builder {
   template <class Fn>
   void operator->*(Fn&& fn) && {
     std::lock_guard lock(st_->mu);
-    const auto untyped = make_untyped();
+    const auto untyped = detail::untyped_deps(deps_);
     op_desc op;
     op.kind = op_kind::launch;
     op.symbol = &symbol_;
@@ -60,98 +60,37 @@ class [[nodiscard]] launch_builder {
     pipe.stage_admission(pipe.needs_requeue()
                              ? detail::make_requeue(*this, fn)
                              : std::function<void()>{});
-    std::array<data_place, sizeof...(Deps)> resolved;
-    hooks_t<std::remove_reference_t<Fn>> h(*this, pipe, resolved, fn);
-    pipe.execute_grid(h);
+    hooks_t<std::remove_reference_t<Fn>> h(*this, pipe, fn);
+    pipe.execute(h);
   }
 
  private:
-  /// Pipeline hooks closing over this builder's typed dependency tuple.
+  /// Pipeline hooks: the shared grid plan/bind and typed acquire/release
+  /// plus one sub-launch per shard.
   template <class Fn>
-  struct hooks_t final : detail::op_hooks {
+  struct hooks_t final : detail::grid_hooks<Deps...> {
     launch_builder& b;
-    detail::submit_pipeline& pipe;
-    std::array<data_place, sizeof...(Deps)>& res;
-    std::array<data_place, sizeof...(Deps)> orig{};
     Fn* fn;
 
-    hooks_t(launch_builder& b_, detail::submit_pipeline& pipe_,
-            std::array<data_place, sizeof...(Deps)>& res_, Fn& fn_)
-        : b(b_), pipe(pipe_), res(res_), fn(&fn_) {
-      resolved = res.data();
-      b.save_places(orig);
-    }
+    hooks_t(launch_builder& b_, detail::submit_pipeline& pipe_, Fn& fn_)
+        : detail::grid_hooks<Deps...>(pipe_, *b_.st_, b_.deps_, b_.where_),
+          b(b_), fn(&fn_) {}
 
-    std::vector<int> plan() override {
-      // Restore the originally-requested places first: a retry after a
-      // device loss re-binds against the current survivors.
-      b.restore_places(orig);
-      return detail::resolve_devices(b.where_, *b.st_->plat);
-    }
-
-    void bind(const std::vector<int>& devices) override {
-      if (devices.size() > 1) {
-        detail::gridify_places(b.deps_, detail::default_composite(devices),
-                               std::index_sequence_for<Deps...>{});
-      }
-    }
-
-    event_list acquire(int lead_device) override {
-      return detail::acquire_all(*b.st_, lead_device, res, b.deps_,
-                                 std::index_sequence_for<Deps...>{});
-    }
-
-    void run(const int* devices, std::size_t ndev, const event_list& ready,
-             event_list& done, detail::resilient_result* rr,
-             int* bad_device) override {
-      auto views = detail::make_views(res, b.deps_,
-                                      std::index_sequence_for<Deps...>{});
-      for (std::size_t i = 0; i < ndev; ++i) {
-        detail::resilient_result r;
-        b.run_device_shard(pipe, *fn, views, res, devices, ndev, i, ready,
-                           done, rr != nullptr ? &r : nullptr);
-        if (rr != nullptr && r.status != cudasim::sim_status::success) {
-          *rr = r;
-          *bad_device = devices[i];
-          return;
-        }
-      }
-    }
-
-    void release(const event_list& done) override {
-      detail::release_all(*b.st_, res, b.deps_, done,
-                          std::index_sequence_for<Deps...>{});
+    void run(int device, std::size_t shard, std::size_t n_shards,
+             const event_list& ready, event_list& done) override {
+      auto views = this->views();
+      b.run_device_shard(this->pipe, *fn, views, this->res, device, shard,
+                         n_shards, ready, done);
     }
   };
 
-  void save_places(std::array<data_place, sizeof...(Deps)>& out) const {
-    std::size_t idx = 0;
-    std::apply([&](const auto&... d) { ((out[idx++] = d.untyped.place), ...); },
-               deps_);
-  }
-
-  void restore_places(const std::array<data_place, sizeof...(Deps)>& in) {
-    std::size_t idx = 0;
-    std::apply([&](auto&... d) { ((d.untyped.place = in[idx++]), ...); },
-               deps_);
-  }
-
-  std::array<const task_dep_untyped*, sizeof...(Deps)> make_untyped() const {
-    std::array<const task_dep_untyped*, sizeof...(Deps)> untyped{};
-    std::size_t idx = 0;
-    std::apply([&](const auto&... d) { ((untyped[idx++] = &d.untyped), ...); },
-               deps_);
-    return untyped;
-  }
-
-  /// Builds and submits the sub-launch of device shard `i`, then hands it
-  /// to the pipeline's run stage.
+  /// Builds and submits the sub-launch of shard `i` of `n_devices` on
+  /// `device`, then hands it to the pipeline's run stage.
   template <class Fn, class Views>
   void run_device_shard(detail::submit_pipeline& pipe, Fn& fn, Views& views,
                         const std::array<data_place, sizeof...(Deps)>& resolved,
-                        const int* devices, std::size_t n_devices,
-                        std::size_t i, const event_list& ready,
-                        event_list& done, detail::resilient_result* rr) {
+                        int device, std::size_t i, std::size_t n_devices,
+                        const event_list& ready, event_list& done) {
     constexpr auto seq = std::index_sequence_for<Deps...>{};
     const auto ndev = static_cast<int>(n_devices);
     cudasim::kernel_desc k;
@@ -162,7 +101,7 @@ class [[nodiscard]] launch_builder {
     // hierarchy applies (§V-3) and the composite page mapping (§VI-B).
     const double f0 = static_cast<double>(i) / ndev;
     const double f1 = static_cast<double>(i + 1) / ndev;
-    detail::add_all_traffic(k, resolved, deps_, f0, f1, devices[i], seq);
+    detail::add_all_traffic(k, resolved, deps_, f0, f1, device, seq);
     k.bytes /= efficiency_;
     std::function<void()> body;
     if (st_->compute_payloads) {
@@ -179,7 +118,7 @@ class [[nodiscard]] launch_builder {
     auto payload = [plat, k, body](cudasim::stream& s) {
       plat->launch_kernel(s, k, body);
     };
-    pipe.run_shard(devices[i], ready, payload, done, rr);
+    pipe.run_shard(device, ready, payload, done);
   }
 
   std::shared_ptr<context_state> st_;

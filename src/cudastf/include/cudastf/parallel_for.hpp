@@ -23,16 +23,9 @@
 
 namespace cudastf::detail {
 
-/// Devices targeted by an execution place (grid resolution).
-std::vector<int> resolve_devices(const exec_place& where,
-                                 cudasim::platform& plat);
-
 /// The context-wide blocked partitioner used for default composite places
 /// (shared so equal composite places compare equal across tasks, §VI-C).
 std::shared_ptr<const partitioner> default_partitioner();
-
-/// Composite data place over `devices` with the default partitioner.
-data_place default_composite(const std::vector<int>& devices);
 
 /// Adds the traffic of one dependency's byte range [b0, b1) (fractions of
 /// the instance) to a kernel descriptor as local/remote/host bytes from the
@@ -47,16 +40,6 @@ void add_all_traffic(cudasim::kernel_desc& k,
                      const std::tuple<Deps...>& deps, double f0, double f1,
                      int device, std::index_sequence<I...>) {
   (add_dep_traffic(k, std::get<I>(deps).untyped, resolved[I], f0, f1, device),
-   ...);
-}
-
-/// Rebinds affine places to the composite default when running on a grid.
-template <class... Deps, std::size_t... I>
-void gridify_places(std::tuple<Deps...>& deps, const data_place& composite,
-                    std::index_sequence<I...>) {
-  ((std::get<I>(deps).untyped.place.is_affine()
-        ? void(std::get<I>(deps).untyped.place = composite)
-        : void()),
    ...);
 }
 
@@ -104,15 +87,14 @@ class [[nodiscard]] parallel_for_builder {
   template <class Fn>
   void operator->*(Fn&& fn) && {
     std::lock_guard lock(st_->mu);
-    const auto untyped = make_untyped();
+    const auto untyped = detail::untyped_deps(deps_);
     op_desc op;
     op.kind = op_kind::parallel_for;
     op.symbol = &symbol_;
     op.deps = untyped.data();
     op.n_deps = untyped.size();
     op.deadline = deadline_;
-    const bool host = where_.is_host();
-    if (host) {
+    if (where_.is_host()) {
       op.channel = backend_iface::channel::host;
     }
     detail::submit_pipeline pipe(*st_, op);
@@ -121,109 +103,42 @@ class [[nodiscard]] parallel_for_builder {
     pipe.stage_admission(pipe.needs_requeue()
                              ? detail::make_requeue(*this, fn)
                              : std::function<void()>{});
-    std::array<data_place, sizeof...(Deps)> resolved;
-    hooks_t<std::remove_reference_t<Fn>> h(*this, pipe, resolved, fn, host);
-    if (host) {
-      pipe.execute_host_shard(h);
-      return;
-    }
-    pipe.execute_grid(h);
+    hooks_t<std::remove_reference_t<Fn>> h(*this, pipe, fn);
+    pipe.execute(h);
   }
 
  private:
-  /// Pipeline hooks closing over this builder's typed dependency tuple.
+  /// Pipeline hooks: the shared grid plan/bind and typed acquire/release
+  /// plus one generated kernel (or the host callback) per shard.
   template <class Fn>
-  struct hooks_t final : detail::op_hooks {
+  struct hooks_t final : detail::grid_hooks<Deps...> {
     parallel_for_builder& b;
-    detail::submit_pipeline& pipe;
-    std::array<data_place, sizeof...(Deps)>& res;
-    std::array<data_place, sizeof...(Deps)> orig{};
     Fn* fn;
-    bool host;
 
-    hooks_t(parallel_for_builder& b_, detail::submit_pipeline& pipe_,
-            std::array<data_place, sizeof...(Deps)>& res_, Fn& fn_,
-            bool host_)
-        : b(b_), pipe(pipe_), res(res_), fn(&fn_), host(host_) {
-      resolved = res.data();
-      b.save_places(orig);
-    }
+    hooks_t(parallel_for_builder& b_, detail::submit_pipeline& pipe_, Fn& fn_)
+        : detail::grid_hooks<Deps...>(pipe_, *b_.st_, b_.deps_, b_.where_),
+          b(b_), fn(&fn_) {}
 
-    std::vector<int> plan() override {
-      // Restore the originally-requested places first: a retry after a
-      // device loss re-binds against the current survivors.
-      b.restore_places(orig);
-      return detail::resolve_devices(b.where_, *b.st_->plat);
-    }
-
-    void bind(const std::vector<int>& devices) override {
-      if (devices.size() > 1) {
-        detail::gridify_places(b.deps_, detail::default_composite(devices),
-                               std::index_sequence_for<Deps...>{});
-      }
-    }
-
-    event_list acquire(int lead_device) override {
-      return detail::acquire_all(*b.st_, lead_device, res, b.deps_,
-                                 std::index_sequence_for<Deps...>{});
-    }
-
-    void run(const int* devices, std::size_t ndev, const event_list& ready,
-             event_list& done, detail::resilient_result* rr,
-             int* bad_device) override {
-      auto views = detail::make_views(res, b.deps_,
-                                      std::index_sequence_for<Deps...>{});
-      if (host) {
-        b.run_host(pipe, *fn, views, ready, done, rr);
+    void run(int device, std::size_t shard, std::size_t n_shards,
+             const event_list& ready, event_list& done) override {
+      auto views = this->views();
+      if (b.where_.is_host()) {
+        b.run_host(this->pipe, *fn, views, ready, done);
         return;
       }
-      for (std::size_t i = 0; i < ndev; ++i) {
-        detail::resilient_result r;
-        b.run_device_shard(pipe, *fn, views, res, devices, ndev, i, ready,
-                           done, rr != nullptr ? &r : nullptr);
-        if (rr != nullptr && r.status != cudasim::sim_status::success) {
-          *rr = r;
-          *bad_device = devices[i];
-          return;
-        }
-      }
-    }
-
-    void release(const event_list& done) override {
-      detail::release_all(*b.st_, res, b.deps_, done,
-                          std::index_sequence_for<Deps...>{});
+      b.run_device_shard(this->pipe, *fn, views, this->res, device, shard,
+                         n_shards, ready, done);
     }
   };
 
-  void save_places(std::array<data_place, sizeof...(Deps)>& out) const {
-    std::size_t idx = 0;
-    std::apply([&](const auto&... d) { ((out[idx++] = d.untyped.place), ...); },
-               deps_);
-  }
-
-  void restore_places(const std::array<data_place, sizeof...(Deps)>& in) {
-    std::size_t idx = 0;
-    std::apply([&](auto&... d) { ((d.untyped.place = in[idx++]), ...); },
-               deps_);
-  }
-
-  std::array<const task_dep_untyped*, sizeof...(Deps)> make_untyped() const {
-    std::array<const task_dep_untyped*, sizeof...(Deps)> untyped{};
-    std::size_t idx = 0;
-    std::apply([&](const auto&... d) { ((untyped[idx++] = &d.untyped), ...); },
-               deps_);
-    return untyped;
-  }
-
-  /// Builds and submits the generated kernel of shard `i` over `devices`
-  /// (blocked partition of the shape, §V-3), then hands it to the
+  /// Builds and submits the generated kernel of shard `i` of `ndev` on
+  /// `device` (blocked partition of the shape, §V-3), then hands it to the
   /// pipeline's run stage.
   template <class Fn, class Views>
   void run_device_shard(detail::submit_pipeline& pipe, Fn& fn, Views& views,
                         const std::array<data_place, sizeof...(Deps)>& resolved,
-                        const int* devices, std::size_t ndev, std::size_t i,
-                        const event_list& ready, event_list& done,
-                        detail::resilient_result* rr) {
+                        int device, std::size_t i, std::size_t ndev,
+                        const event_list& ready, event_list& done) {
     constexpr auto seq = std::index_sequence_for<Deps...>{};
     const std::size_t total = shape_.size();
     const blocked_partitioner blocked;
@@ -242,7 +157,7 @@ class [[nodiscard]] parallel_for_builder {
           static_cast<double>(span.begin) / static_cast<double>(total);
       const double f1 =
           static_cast<double>(span.end) / static_cast<double>(total);
-      detail::add_all_traffic(k, resolved, deps_, f0, f1, devices[i], seq);
+      detail::add_all_traffic(k, resolved, deps_, f0, f1, device, seq);
       k.bytes /= efficiency_;
     }
     std::function<void()> body;
@@ -261,15 +176,14 @@ class [[nodiscard]] parallel_for_builder {
     auto payload = [plat, k, body](cudasim::stream& s) {
       plat->launch_kernel(s, k, body);
     };
-    pipe.run_shard(devices[i], ready, payload, done, rr);
+    pipe.run_shard(device, ready, payload, done);
   }
 
   /// Host execution (where_.is_host()): the whole shape runs as one host
   /// callback at drain time.
   template <class Fn, class Views>
   void run_host(detail::submit_pipeline& pipe, Fn& fn, Views& views,
-                const event_list& ready, event_list& done,
-                detail::resilient_result* rr) {
+                const event_list& ready, event_list& done) {
     cudasim::platform* plat = st_->plat;
     auto shape = shape_;
     // By value: the callback runs at drain time, after this frame is gone.
@@ -282,7 +196,7 @@ class [[nodiscard]] parallel_for_builder {
         }
       });
     };
-    pipe.run_shard(0, ready, payload, done, rr);
+    pipe.run_shard(0, ready, payload, done);
   }
 
   std::shared_ptr<context_state> st_;

@@ -1,12 +1,13 @@
 // Fault-recovery helpers behind the submission slow path (DESIGN.md §5/§7).
 //
-// The builder templates in task.hpp / launch.hpp / parallel_for.hpp stay
-// thin: everything type-erasable lives here and is implemented in
-// fault.cpp. None of this is touched on the fault-free fast path.
+// The submission pipeline's round loop (submit_pipeline::execute,
+// DESIGN.md §13) drives these for every construct; they are implemented
+// in fault.cpp. None of this is touched on the fault-free fast path.
 //
 // Escalation ladder for a failed submission (DESIGN.md §7):
 //   1. transient fault  -> retry with virtual-time backoff (run_resilient)
 //   2. device lost      -> blacklist + evacuate + re-route to a survivor
+//                          (the next round, via filter_blacklisted)
 //   3. still permanent  -> epoch restart: roll data back to the committed
 //                          checkpoint and replay the submission log
 //                          (fail_task_or_restart -> checkpoint.hpp)
@@ -64,12 +65,14 @@ class msi_snapshot {
   std::vector<entry> entries_;
 };
 
-/// Removes blacklisted devices from `devices` in place. If that empties
-/// the list, re-routes each original device onto a surviving one
-/// (survivors[d % n], deduplicated) so single-device and whole-grid
-/// submissions recover uniformly; throws device_lost_error when no device
-/// in the platform survives.
-void filter_blacklisted(context_state& st, std::vector<int>& devices);
+/// Removes blacklisted devices from the `n` entries of `devices` in place,
+/// shrinking `n`. If that empties the list, re-routes each original device
+/// onto a surviving one (survivors[d % n], deduplicated), so a one-device
+/// list is re-routed exactly like reroute_device() and a task, a host op
+/// and a whole grid recover through the one round loop. Returns whether
+/// any device was blacklisted; throws device_lost_error when no device in
+/// the platform survives.
+bool filter_blacklisted(context_state& st, int* devices, std::size_t& n);
 
 /// Outcome of run_resilient.
 struct resilient_result {

@@ -1,25 +1,30 @@
 // The staged submission pipeline (DESIGN.md §13). Every construct — task,
 // parallel_for, launch, host_launch — lowers its work to an op_desc and a
-// small set of hooks, then drives the one shared core below:
+// small set of hooks, then drives the one shared round loop below
+// (submit_pipeline::execute):
 //
-//   admission -> plan/bind -> acquire -> pre-run -> run -> post-run -> release
+//   admission -> poison-cancel -> [plan -> re-route -> bind -> snapshot ->
+//   acquire -> run every shard] per round -> finish (release)
 //
 // The cross-cutting engines attach at fixed stages of that core instead of
 // being re-inlined per builder: overload admission + checkpoint recording
-// (stage_admission), poison-cancel and retry/re-route (the execute_*
-// drivers), integrity dual-execution (run_shard), deadline tracking and
-// declared ordering (finish). A future engine touches submit.{hpp,cpp}
-// only. The same stages are exposed publicly through submit_observer
+// (stage_admission), poison-cancel and retry/re-route (the round loop),
+// integrity dual-execution (run_shard), deadline tracking and declared
+// ordering (finish). What differs per construct is one policy row per
+// op_kind in submit.cpp. A future engine touches submit.{hpp,cpp} only.
+// The same stages are exposed publicly through submit_observer
 // (ctx.observe()): per-op structured trace records and a Graphviz DOT
 // exporter (ctx.dot_export(), CUDASTF_DOT_FILE) ship as observers.
 #pragma once
 
 #include <array>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
+#include <tuple>
 #include <type_traits>
 #include <unordered_map>
 #include <unordered_set>
@@ -156,6 +161,8 @@ class dot_exporter final : public submit_observer {
 
 namespace cudastf::detail {
 
+struct op_policy;  // one construct's row of the round-loop table
+
 /// Per-submission callbacks a builder hands to the pipeline. Implemented by
 /// a stack-allocated struct inside each builder (virtual dispatch, no
 /// per-submission allocation), closing over the builder's typed dependency
@@ -163,30 +170,29 @@ namespace cudastf::detail {
 struct op_hooks {
   virtual ~op_hooks() = default;
 
-  /// Grid ops only: restore the originally-requested data places (retries
-  /// re-bind against the current survivors) and resolve the target devices.
+  /// Grid constructs only: restore the originally-requested data places
+  /// (every round re-binds against the current survivors) and resolve the
+  /// target devices.
   virtual std::vector<int> plan() { return {}; }
 
-  /// Grid ops only: re-bind affine places to a composite over `devices`.
+  /// Grid constructs only: re-bind affine places to a composite over
+  /// `devices`.
   virtual void bind(const std::vector<int>& devices) { (void)devices; }
 
   /// Acquire every dependency for an execution led by `lead_device`,
   /// filling `resolved` and returning the merged readiness list.
   virtual event_list acquire(int lead_device) = 0;
 
-  /// Submit the op's payload(s) over `devices`. Each shard goes through
-  /// pipeline.run_shard(), which selects the plain / verified / resilient
-  /// backend path. With rr == nullptr this is the plain path (failures
-  /// throw); otherwise a shard failure is reported through *rr and
-  /// *bad_device and the loop stops.
-  virtual void run(const int* devices, std::size_t n_devices,
-                   const event_list& ready, event_list& done,
-                   resilient_result* rr, int* bad_device) = 0;
+  /// Submit shard `shard` of `n_shards` on `device` through
+  /// pipeline.run_shard(). Called once per shard; the pipeline owns the
+  /// shard loop and its failure handling.
+  virtual void run(int device, std::size_t shard, std::size_t n_shards,
+                   const event_list& ready, event_list& done) = 0;
 
   /// Release every dependency against the completion list.
   virtual void release(const event_list& done) = 0;
 
-  /// Points at the builder's resolved-place array (filled by acquire).
+  /// Points at the per-dependency resolved places (filled by acquire).
   const data_place* resolved = nullptr;
 };
 
@@ -213,32 +219,26 @@ class submit_pipeline {
   /// acquired or mutated, so a replay/retry re-enters the builder verbatim.
   void stage_admission(std::function<void()> requeue);
 
-  /// Placement stage for single-device ops (explicit device, HEFT-style
-  /// automatic placement, or the calling thread's current device).
-  int choose_device(const exec_place& where);
+  /// Placement stage for ctx.task(): an explicit device, HEFT-style
+  /// automatic placement, or the calling thread's current device. Host ops
+  /// keep the default, the host "device" -1.
+  void place(const exec_place& where);
 
-  // --- drivers: one per construct shape ---
-
-  /// ctx.task(): single device, retry/re-route when fault-aware.
-  void execute_task(op_hooks& h, int device);
-
-  /// parallel_for / launch on devices: plan -> bind -> sharded run, whole-
-  /// submission retry over the surviving grid when fault-aware.
-  void execute_grid(op_hooks& h);
-
-  /// ctx.host_launch(): host channel, poison-cancel when fault-aware,
-  /// escalate-don't-throw on typed failures.
-  void execute_host_task(op_hooks& h);
-
-  /// parallel_for on the host place: plain host-channel submission.
-  void execute_host_shard(op_hooks& h);
+  /// The one driver, for every construct: a task is the grid {placed
+  /// device}, a host op the grid {-1}, a grid construct plans its own.
+  /// Each round runs plan -> re-route -> bind -> snapshot -> acquire ->
+  /// every shard -> finish; a failed round rolls back and either re-routes
+  /// (next round), escalates, or records and rethrows, per the construct's
+  /// policy row (submit.cpp).
+  void execute(op_hooks& h);
 
   /// One backend submission for the shard on `device`: integrity-verified
-  /// for tasks when armed, resilient when `rr` is non-null, plain backend
-  /// run otherwise. Appends the completion to `done` on success.
+  /// for tasks when armed, resilient (transient retry) on the fault-aware
+  /// path, plain backend run otherwise. Appends the completion to `done`
+  /// on success; a resilient failure is left for the round loop to handle.
   void run_shard(int device, const event_list& ready,
                  const std::function<void(cudasim::stream&)>& payload,
-                 event_list& done, resilient_result* rr);
+                 event_list& done);
 
  private:
   [[gnu::cold]] [[gnu::noinline]] void begin_record();
@@ -255,20 +255,19 @@ class submit_pipeline {
 
   /// Terminal success stage: release, declared-ordering record, deadline
   /// tracking, observer emission.
-  void finish(op_hooks& h, const event_list& done, const int* devices,
-              std::size_t ndev, bool resubmittable);
+  void finish(op_hooks& h, const op_policy& pol, const event_list& done,
+              const int* devices, std::size_t ndev);
 
-  void execute_plain(op_hooks& h, const int* devices, std::size_t ndev,
-                     bool resubmittable);
-  [[gnu::cold]] [[gnu::noinline]] void execute_task_resilient(op_hooks& h,
-                                                              int device);
-  [[gnu::cold]] [[gnu::noinline]] void execute_grid_resilient(op_hooks& h);
+  /// The failed-round tail: guard the submitted work, roll back, unpin,
+  /// quarantine a lost device, then re-route (true: run the next round),
+  /// escalate, or record/emit per the policy row and rethrow `ex`. A null
+  /// `ex` is a failed resilient shard (shard_) on `device`.
+  [[gnu::cold]] [[gnu::noinline]] bool fail_round(
+      const op_policy& pol, int round, std::exception_ptr ex, int device,
+      const msi_snapshot& snap, event_list& done, const int* devs,
+      std::size_t n);
 
-  /// Failure recording that keeps the poison (no restart): unpin + record.
-  [[gnu::cold]] [[gnu::noinline]] void plain_failure(failure_kind kind,
-                                                     int device,
-                                                     const char* what);
-  /// Record without unpinning (resilient paths roll back pins themselves).
+  /// Record + poison without unpinning (the round loop rolls back first).
   [[gnu::cold]] [[gnu::noinline]] void hard_failure(failure_kind kind,
                                                     int device, int attempts,
                                                     const char* what);
@@ -277,13 +276,6 @@ class submit_pipeline {
   [[gnu::cold]] [[gnu::noinline]] void escalate(failure_kind kind, int device,
                                                 int attempts,
                                                 const char* what);
-  /// Host-task typed-failure policy: unpin, quarantine a lost device,
-  /// then rethrow (not fault-aware) or escalate (fault-aware).
-  [[gnu::cold]] [[gnu::noinline]] void host_failure(bool aware,
-                                                    failure_kind kind,
-                                                    int device,
-                                                    const char* what);
-  void rollback(const msi_snapshot& snap);
   [[gnu::cold]] [[gnu::noinline]] void record_to_log(
       std::function<void()> requeue);
   bool wants_verified() const;
@@ -291,8 +283,11 @@ class submit_pipeline {
   context_state& st_;
   const op_desc& op_;
   const data_place* resolved_ = nullptr;
-  std::function<void()> requeue_;      ///< deadline retry rung closure
-  std::unique_ptr<op_record> rec_;     ///< non-null while observed
+  int device_ = -1;                 ///< placement-stage device (place())
+  bool aware_ = false;              ///< this trip is on the fault-aware path
+  resilient_result shard_;          ///< last resilient shard's outcome
+  std::function<void()> requeue_;   ///< deadline retry rung closure
+  std::unique_ptr<op_record> rec_;  ///< non-null while observed
 };
 
 /// Builds the requeue closure stage_admission consumes: a copy of the
@@ -313,6 +308,127 @@ std::function<void()> make_requeue(const Builder& b, Fn& fn) {
     return {};
   }
 }
+
+// --- typed lowering shared by every builder ---
+
+/// The untyped view of a builder's dependency tuple: what op_desc::deps
+/// points at.
+template <class... Deps>
+std::array<const task_dep_untyped*, sizeof...(Deps)> untyped_deps(
+    const std::tuple<Deps...>& deps) {
+  std::array<const task_dep_untyped*, sizeof...(Deps)> untyped{};
+  std::size_t idx = 0;
+  std::apply([&](const auto&... d) { ((untyped[idx++] = &d.untyped), ...); },
+             deps);
+  return untyped;
+}
+
+/// Acquires every dependency, returning the merged readiness list and the
+/// resolved per-dependency places (Algorithm 2 applied per dependency).
+template <class... Deps, std::size_t... I>
+event_list acquire_all(context_state& st, int exec_device,
+                       std::array<data_place, sizeof...(Deps)>& resolved,
+                       const std::tuple<Deps...>& deps,
+                       std::index_sequence<I...>) {
+  event_list ready;
+  ((resolved[I] = resolve_place(std::get<I>(deps).untyped.place, exec_device),
+    st.events_pruned +=
+    ready.merge(acquire_dep(st, std::get<I>(deps).untyped, resolved[I]))),
+   ...);
+  return ready;
+}
+
+template <class... Deps, std::size_t... I>
+void release_all(context_state& st,
+                 const std::array<data_place, sizeof...(Deps)>& resolved,
+                 const std::tuple<Deps...>& deps, const event_list& done,
+                 std::index_sequence<I...>) {
+  (release_dep(st, std::get<I>(deps).untyped, resolved[I], done), ...);
+}
+
+/// Builds the tuple of typed views over the acquired instances.
+template <class... Deps, std::size_t... I>
+auto make_views(const std::array<data_place, sizeof...(Deps)>& resolved,
+                const std::tuple<Deps...>& deps, std::index_sequence<I...>) {
+  return std::make_tuple(std::get<I>(deps).make_view(
+      std::get<I>(deps).untyped.data->find_instance(resolved[I])->ptr)...);
+}
+
+/// Devices targeted by an execution place (grid resolution).
+std::vector<int> resolve_devices(const exec_place& where,
+                                 cudasim::platform& plat);
+
+/// Composite data place over `devices` with the default partitioner.
+data_place default_composite(const std::vector<int>& devices);
+
+/// Rebinds affine places to the composite default when running on a grid.
+template <class... Deps, std::size_t... I>
+void gridify_places(std::tuple<Deps...>& deps, const data_place& composite,
+                    std::index_sequence<I...>) {
+  ((std::get<I>(deps).untyped.place.is_affine()
+        ? void(std::get<I>(deps).untyped.place = composite)
+        : void()),
+   ...);
+}
+
+/// The hooks every builder shares: acquire and release over the typed
+/// dependency tuple, and the views a payload binds. Builders add run().
+template <class... Deps>
+struct typed_hooks : op_hooks {
+  static constexpr auto seq = std::index_sequence_for<Deps...>{};
+
+  typed_hooks(submit_pipeline& pipe_, context_state& st_,
+              std::tuple<Deps...>& deps_)
+      : pipe(pipe_), st(st_), deps(deps_) {
+    resolved = res.data();
+  }
+
+  event_list acquire(int lead_device) override {
+    return acquire_all(st, lead_device, res, deps, seq);
+  }
+
+  void release(const event_list& done) override {
+    release_all(st, res, deps, done, seq);
+  }
+
+  auto views() const { return make_views(res, deps, seq); }
+
+  submit_pipeline& pipe;
+  context_state& st;
+  std::tuple<Deps...>& deps;
+  std::array<data_place, sizeof...(Deps)> res{};
+};
+
+/// Hooks of the grid constructs (parallel_for, launch): plan restores the
+/// requested places and resolves `where`; bind moves affine places to a
+/// composite when the grid spans several devices.
+template <class... Deps>
+struct grid_hooks : typed_hooks<Deps...> {
+  grid_hooks(submit_pipeline& pipe_, context_state& st_,
+             std::tuple<Deps...>& deps_, const exec_place& where_)
+      : typed_hooks<Deps...>(pipe_, st_, deps_), where(where_) {
+    std::size_t idx = 0;
+    std::apply(
+        [&](const auto&... d) { ((orig[idx++] = d.untyped.place), ...); },
+        this->deps);
+  }
+
+  std::vector<int> plan() override {
+    std::size_t idx = 0;
+    std::apply([&](auto&... d) { ((d.untyped.place = orig[idx++]), ...); },
+               this->deps);
+    return resolve_devices(where, *this->st.plat);
+  }
+
+  void bind(const std::vector<int>& devices) override {
+    if (devices.size() > 1) {
+      gridify_places(this->deps, default_composite(devices), this->seq);
+    }
+  }
+
+  const exec_place& where;
+  std::array<data_place, sizeof...(Deps)> orig{};
+};
 
 /// CUDASTF_DOT_FILE arming (context creation) and flush (finalize).
 void arm_env_dot(context_state& st);

@@ -23,41 +23,6 @@
 #include "cudastf/places.hpp"
 #include "cudastf/submit.hpp"
 
-namespace cudastf::detail {
-
-/// Acquires every dependency, returning the merged readiness list and the
-/// resolved per-dependency places (Algorithm 2 applied per dependency).
-template <class... Deps, std::size_t... I>
-event_list acquire_all(context_state& st, int exec_device,
-                       std::array<data_place, sizeof...(Deps)>& resolved,
-                       const std::tuple<Deps...>& deps,
-                       std::index_sequence<I...>) {
-  event_list ready;
-  ((resolved[I] = resolve_place(std::get<I>(deps).untyped.place, exec_device),
-    st.events_pruned +=
-    ready.merge(acquire_dep(st, std::get<I>(deps).untyped, resolved[I]))),
-   ...);
-  return ready;
-}
-
-template <class... Deps, std::size_t... I>
-void release_all(context_state& st,
-                 const std::array<data_place, sizeof...(Deps)>& resolved,
-                 const std::tuple<Deps...>& deps, const event_list& done,
-                 std::index_sequence<I...>) {
-  (release_dep(st, std::get<I>(deps).untyped, resolved[I], done), ...);
-}
-
-/// Builds the tuple of typed views over the acquired instances.
-template <class... Deps, std::size_t... I>
-auto make_views(const std::array<data_place, sizeof...(Deps)>& resolved,
-                const std::tuple<Deps...>& deps, std::index_sequence<I...>) {
-  return std::make_tuple(std::get<I>(deps).make_view(
-      std::get<I>(deps).untyped.data->find_instance(resolved[I])->ptr)...);
-}
-
-}  // namespace cudastf::detail
-
 namespace cudastf {
 
 /// Builder returned by ctx.task(...). The task body is attached with the
@@ -119,7 +84,7 @@ class [[nodiscard]] task_builder {
     // Every submission, from any thread, runs the one pipeline path under
     // the context mutex (DESIGN.md §11).
     std::lock_guard lock(st_->mu);
-    const auto untyped = make_untyped();
+    const auto untyped = detail::untyped_deps(deps_);
     op_desc op;
     op.kind = op_kind::task;
     op.symbol = &symbol_;
@@ -132,57 +97,32 @@ class [[nodiscard]] task_builder {
     pipe.stage_admission(pipe.needs_requeue()
                              ? detail::make_requeue(*this, fn)
                              : std::function<void()>{});
-    const int device = pipe.choose_device(where_);
-    std::array<data_place, sizeof...(Deps)> resolved;
-    hooks_t<std::remove_reference_t<Fn>> h(*this, pipe, resolved, fn);
-    pipe.execute_task(h, device);
+    pipe.place(where_);
+    hooks_t<std::remove_reference_t<Fn>> h(pipe, *st_, deps_, fn);
+    pipe.execute(h);
   }
 
  private:
-  /// Pipeline hooks closing over this builder's typed dependency tuple.
+  /// Pipeline hooks: the shared typed acquire/release plus the task body.
   template <class Fn>
-  struct hooks_t final : detail::op_hooks {
-    task_builder& b;
-    detail::submit_pipeline& pipe;
-    std::array<data_place, sizeof...(Deps)>& res;
+  struct hooks_t final : detail::typed_hooks<Deps...> {
     Fn* fn;
 
-    hooks_t(task_builder& b_, detail::submit_pipeline& pipe_,
-            std::array<data_place, sizeof...(Deps)>& res_, Fn& fn_)
-        : b(b_), pipe(pipe_), res(res_), fn(&fn_) {
-      resolved = res.data();
-    }
+    hooks_t(detail::submit_pipeline& pipe_, context_state& st_,
+            std::tuple<Deps...>& deps_, Fn& fn_)
+        : detail::typed_hooks<Deps...>(pipe_, st_, deps_), fn(&fn_) {}
 
-    event_list acquire(int lead_device) override {
-      return detail::acquire_all(*b.st_, lead_device, res, b.deps_,
-                                 std::index_sequence_for<Deps...>{});
-    }
-
-    void run(const int* devices, std::size_t, const event_list& ready,
-             event_list& done, detail::resilient_result* rr, int*) override {
-      auto views = detail::make_views(res, b.deps_,
-                                      std::index_sequence_for<Deps...>{});
+    void run(int device, std::size_t, std::size_t, const event_list& ready,
+             event_list& done) override {
       // The body runs synchronously inside the backend submission, so the
       // payload may reference the builder-frame callable by pointer.
-      auto payload = [f = fn, views](cudasim::stream& s) mutable {
+      auto payload = [f = fn,
+                      views = this->views()](cudasim::stream& s) mutable {
         std::apply([&](auto&... v) { (*f)(s, v...); }, views);
       };
-      pipe.run_shard(devices[0], ready, payload, done, rr);
-    }
-
-    void release(const event_list& done) override {
-      detail::release_all(*b.st_, res, b.deps_, done,
-                          std::index_sequence_for<Deps...>{});
+      this->pipe.run_shard(device, ready, payload, done);
     }
   };
-
-  std::array<const task_dep_untyped*, sizeof...(Deps)> make_untyped() const {
-    std::array<const task_dep_untyped*, sizeof...(Deps)> untyped{};
-    std::size_t idx = 0;
-    std::apply([&](const auto&... d) { ((untyped[idx++] = &d.untyped), ...); },
-               deps_);
-    return untyped;
-  }
 
   std::shared_ptr<context_state> st_;
   exec_place where_;
@@ -216,7 +156,7 @@ class [[nodiscard]] host_launch_builder {
   template <class Fn>
   void operator->*(Fn&& fn) && {
     std::lock_guard lock(st_->mu);
-    const auto untyped = make_untyped();
+    const auto untyped = detail::untyped_deps(deps_);
     op_desc op;
     op.kind = op_kind::host;
     op.symbol = &symbol_;
@@ -227,65 +167,42 @@ class [[nodiscard]] host_launch_builder {
     pipe.stage_admission(pipe.needs_requeue()
                              ? detail::make_requeue(*this, fn)
                              : std::function<void()>{});
-    std::array<data_place, sizeof...(Deps)> resolved;
-    hooks_t<std::remove_reference_t<Fn>> h(*this, pipe, resolved, fn);
-    pipe.execute_host_task(h);
+    hooks_t<std::remove_reference_t<Fn>> h(pipe, *st_, deps_, fn, cost_);
+    pipe.execute(h);
   }
 
  private:
+  /// Pipeline hooks: the shared typed acquire/release plus the host
+  /// callback. Host tasks gather their inputs to the host (the grid {-1});
+  /// device-to-host copies remain allowed even from a failed device
+  /// (evacuation grace), so a device loss rarely reaches their acquire.
   template <class Fn>
-  struct hooks_t final : detail::op_hooks {
-    host_launch_builder& b;
-    detail::submit_pipeline& pipe;
-    std::array<data_place, sizeof...(Deps)>& res;
+  struct hooks_t final : detail::typed_hooks<Deps...> {
     Fn* fn;
+    double cost;
 
-    hooks_t(host_launch_builder& b_, detail::submit_pipeline& pipe_,
-            std::array<data_place, sizeof...(Deps)>& res_, Fn& fn_)
-        : b(b_), pipe(pipe_), res(res_), fn(&fn_) {
-      resolved = res.data();
-    }
+    hooks_t(detail::submit_pipeline& pipe_, context_state& st_,
+            std::tuple<Deps...>& deps_, Fn& fn_, double cost_)
+        : detail::typed_hooks<Deps...>(pipe_, st_, deps_), fn(&fn_),
+          cost(cost_) {}
 
-    event_list acquire(int) override {
-      // Host tasks gather their inputs to the host; device-to-host copies
-      // remain allowed even from a failed device (evacuation grace), so a
-      // device loss rarely reaches this acquire.
-      return detail::acquire_all(*b.st_, -1, res, b.deps_,
-                                 std::index_sequence_for<Deps...>{});
-    }
-
-    void run(const int*, std::size_t, const event_list& ready,
-             event_list& done, detail::resilient_result* rr, int*) override {
-      auto views = detail::make_views(res, b.deps_,
-                                      std::index_sequence_for<Deps...>{});
-      cudasim::platform* plat = b.st_->plat;
-      const double cost = b.cost_;
+    void run(int, std::size_t, std::size_t, const event_list& ready,
+             event_list& done) override {
+      cudasim::platform* plat = this->st.plat;
       // The host callback fires at DES drain time, long after the builder
       // frame is gone: it must own a copy of the callable.
-      auto payload = [g = *fn, views, plat, cost](cudasim::stream& s) mutable {
+      auto payload = [g = *fn, views = this->views(), plat,
+                      c = cost](cudasim::stream& s) mutable {
         plat->launch_host_func(
             s,
             [g, views]() mutable {
               std::apply([&](auto&... v) { g(v...); }, views);
             },
-            cost);
+            c);
       };
-      pipe.run_shard(0, ready, payload, done, rr);
-    }
-
-    void release(const event_list& done) override {
-      detail::release_all(*b.st_, res, b.deps_, done,
-                          std::index_sequence_for<Deps...>{});
+      this->pipe.run_shard(0, ready, payload, done);
     }
   };
-
-  std::array<const task_dep_untyped*, sizeof...(Deps)> make_untyped() const {
-    std::array<const task_dep_untyped*, sizeof...(Deps)> untyped{};
-    std::size_t idx = 0;
-    std::apply([&](const auto&... d) { ((untyped[idx++] = &d.untyped), ...); },
-               deps_);
-    return untyped;
-  }
 
   std::shared_ptr<context_state> st_;
   std::tuple<Deps...> deps_;

@@ -3,7 +3,10 @@
 // task.hpp / parallel_for.hpp / launch.hpp, unified — each engine attaches
 // at exactly one stage here instead of being re-inlined per builder.
 #include <cstdlib>
+#include <exception>
 #include <fstream>
+#include <new>
+#include <optional>
 #include <sstream>
 
 #include "cudastf/checkpoint.hpp"
@@ -299,16 +302,66 @@ void submit_pipeline::record_to_log(std::function<void()> requeue) {
   st_.ckpt->record(std::move(requeue), std::move(touched));
 }
 
+// --- per-construct policy ---
+
+/// What differs per construct in the round loop — an internal table, not a
+/// user option. One row per op_kind, plus one for parallel_for on the host
+/// place, which shares its kind (and its op_record) with the device one.
+struct op_policy {
+  bool grid;       ///< plans a device grid each round (plan/bind); else the
+                   ///< op runs on the placement device (-1: the host)
+  bool reroutes;   ///< a lost device re-routes the op onto the survivors
+  bool ordered;    ///< the declared-ordering wait/record applies
+  bool records;    ///< a failure that is not escalated records + poisons;
+                   ///< else the op only unpins and emits before rethrowing
+  bool escalates;  ///< on the fault-aware path a typed failure re-routes or
+                   ///< escalates (restart/poison) instead of rethrowing
+  bool resubmits;  ///< the deadline retry rung may resubmit the op
+};
+
+namespace {
+
+constexpr op_policy kPolicy[] = {
+    /* task */
+    {.grid = false, .reroutes = true, .ordered = true, .records = true,
+     .escalates = true, .resubmits = true},
+    /* parallel_for */
+    {.grid = true, .reroutes = true, .ordered = false, .records = false,
+     .escalates = true, .resubmits = true},
+    /* launch */
+    {.grid = true, .reroutes = true, .ordered = false, .records = false,
+     .escalates = true, .resubmits = true},
+    /* host (host_launch) */
+    {.grid = false, .reroutes = false, .ordered = true, .records = true,
+     .escalates = true, .resubmits = false},
+    /* parallel_for on the host place */
+    {.grid = false, .reroutes = false, .ordered = false, .records = false,
+     .escalates = false, .resubmits = false},
+};
+
+const op_policy& policy_of(const op_desc& op) {
+  if (op.kind == op_kind::parallel_for &&
+      op.channel == backend_iface::channel::host) {
+    return kPolicy[4];
+  }
+  return kPolicy[static_cast<std::size_t>(op.kind)];
+}
+
+}  // namespace
+
 // --- placement stage ---
 
-int submit_pipeline::choose_device(const exec_place& where) {
+void submit_pipeline::place(const exec_place& where) {
   switch (where.type()) {
     case exec_place::kind::device:
-      return where.device_index();
+      device_ = where.device_index();
+      return;
     case exec_place::kind::automatic:
-      return pick_heft_device(st_, op_.deps, op_.n_deps);
+      device_ = pick_heft_device(st_, op_.deps, op_.n_deps);
+      return;
     default:
-      return st_.plat->current_device();
+      device_ = st_.plat->current_device();
+      return;
   }
 }
 
@@ -354,30 +407,23 @@ bool submit_pipeline::cancelled() {
   return true;
 }
 
-void submit_pipeline::finish(op_hooks& h, const event_list& done,
-                             const int* devices, std::size_t ndev,
-                             bool resubmittable) {
+void submit_pipeline::finish(op_hooks& h, const op_policy& pol,
+                             const event_list& done, const int* devices,
+                             std::size_t ndev) {
   h.release(done);
-  if ((op_.kind == op_kind::task || op_.kind == op_kind::host) &&
-      !st_.order_edges.empty()) [[unlikely]] {
+  if (pol.ordered && !st_.order_edges.empty()) [[unlikely]] {
     st_.order_record(*op_.symbol, done);
   }
   if (st_.dl != nullptr) [[unlikely]] {
-    // Host tasks and host shards skip the retry rung (resubmit = null),
-    // escalating straight to restart/poison like a move-only body.
-    detail::track_submission(st_, done, *op_.symbol,
-                             ndev > 0 ? devices[0] : -1, op_.deadline, op_.deps,
-                             op_.n_deps,
-                             resubmittable ? std::move(requeue_)
+    // Host ops skip the retry rung (resubmit = null), escalating straight
+    // to restart/poison like a move-only body.
+    detail::track_submission(st_, done, *op_.symbol, devices[0], op_.deadline,
+                             op_.deps, op_.n_deps,
+                             pol.resubmits ? std::move(requeue_)
                                            : std::function<void()>{});
   }
   emit(op_status::ok, failure_kind::submission_exception, 0, devices, ndev,
        {});
-}
-
-void submit_pipeline::rollback(const msi_snapshot& snap) {
-  snap.restore();
-  detail::unpin_deps(op_.deps, op_.n_deps);
 }
 
 // --- failure recording ---
@@ -389,12 +435,6 @@ void submit_pipeline::hard_failure(failure_kind kind, int device, int attempts,
   emit(op_status::failed, kind, id, &device, 1, {});
 }
 
-void submit_pipeline::plain_failure(failure_kind kind, int device,
-                                    const char* what) {
-  detail::unpin_deps(op_.deps, op_.n_deps);
-  hard_failure(kind, device, 1, what);
-}
-
 void submit_pipeline::escalate(failure_kind kind, int device, int attempts,
                                const char* what) {
   const std::uint64_t id = detail::fail_task_or_restart(
@@ -402,315 +442,186 @@ void submit_pipeline::escalate(failure_kind kind, int device, int attempts,
   emit(op_status::failed, kind, id, &device, 1, {});
 }
 
-void submit_pipeline::host_failure(bool aware, failure_kind kind, int device,
-                                   const char* what) {
-  detail::unpin_deps(op_.deps, op_.n_deps);
-  if (kind == failure_kind::device_lost) {
-    st_.blacklist_device(device);
-  }
-  if (!aware) {
-    hard_failure(kind, device, 1, what);
-    throw;  // rethrows the exception being handled by the caller's catch
-  }
-  escalate(kind, device, 1, what);
-}
-
 // --- run stage ---
 
 void submit_pipeline::run_shard(int device, const event_list& ready,
                                 const std::function<void(cudasim::stream&)>&
                                     payload,
-                                event_list& done, resilient_result* rr) {
+                                event_list& done) {
   if (wants_verified()) [[unlikely]] {
     done.merge(detail::run_verified(st_, device, ready, payload, *op_.symbol,
                                     op_.deps, op_.n_deps, resolved_));
-    if (rr != nullptr) {
-      rr->status = cudasim::sim_status::success;
-    }
     return;
   }
-  if (rr == nullptr) {
+  if (!aware_) {
     done.add(st_.backend->run(device, op_.channel, ready, payload,
                               *op_.symbol));
     return;
   }
-  *rr = detail::run_resilient(st_, device, op_.channel, ready, payload,
-                              *op_.symbol);
-  if (rr->status == cudasim::sim_status::success) {
-    done.add(rr->ev);
+  shard_ = detail::run_resilient(st_, device, op_.channel, ready, payload,
+                                 *op_.symbol);
+  if (shard_.status == cudasim::sim_status::success) {
+    done.add(shard_.ev);
   }
 }
 
-// --- drivers ---
+// --- the round loop ---
 
-void submit_pipeline::execute_plain(op_hooks& h, const int* devices,
-                                    std::size_t ndev, bool resubmittable) {
+void submit_pipeline::execute(op_hooks& h) {
+  const op_policy& pol = policy_of(op_);
+  aware_ = st_.fault_aware();
   resolved_ = h.resolved;
-  event_list done;
-  if (op_.kind == op_kind::task) {
-    // Plain-task policy: failures record (unpin + poison) and rethrow; the
-    // integrity-verified variant and release/track run inside the guarded
-    // region so their exceptions record too.
-    const int device = devices[0];
-    try {
-      event_list ready = h.acquire(device);
-      merge_order(ready);
-      h.run(devices, ndev, ready, done, nullptr, nullptr);
-      finish(h, done, devices, ndev, resubmittable);
-    } catch (const corruption_error& e) {
-      plain_failure(failure_kind::data_corrupted, e.device, e.what());
-      throw;
-    } catch (const std::bad_alloc& e) {
-      plain_failure(failure_kind::out_of_memory, device, e.what());
-      throw;
-    } catch (const std::exception& e) {
-      plain_failure(failure_kind::submission_exception, device, e.what());
-      throw;
-    }
+  if (aware_ && cancelled()) {
     return;
   }
-  // Structured constructs (parallel_for / launch, incl. host shards): a
-  // failed submission never reaches release (which normally unpins), so
-  // drop the acquire-time pins and rethrow without recording a failure.
-  try {
-    event_list ready = h.acquire(devices[0]);
-    h.run(devices, ndev, ready, done, nullptr, nullptr);
-  } catch (...) {
-    detail::unpin_deps(op_.deps, op_.n_deps);
-    emit(op_status::failed, failure_kind::submission_exception, 0, devices,
-         ndev, {});
-    throw;
-  }
-  finish(h, done, devices, ndev, resubmittable);
-}
-
-void submit_pipeline::execute_task(op_hooks& h, int device) {
-  if (!st_.fault_aware()) {
-    execute_plain(h, &device, 1, true);
-    // The disarmed fast path (ctx.fast_path_submits()): no engine armed
-    // and no observer attached.
-    if (st_.ckpt == nullptr && st_.integ == nullptr && st_.dl == nullptr &&
+  std::vector<int> grid;
+  int single = device_;  // the one-device grid of a task or host op
+  for (int round = 0;; ++round) {
+    if (pol.grid) {
+      grid = h.plan();
+    }
+    int* devs = pol.grid ? grid.data() : &single;
+    std::size_t n = pol.grid ? grid.size() : 1;
+    if (aware_) {
+      try {
+        if (filter_blacklisted(st_, devs, n)) {
+          ++st_.report.tasks_rerouted;
+        }
+      } catch (const device_lost_error& e) {
+        escalate(failure_kind::device_lost, e.device, round + 1,
+                 "no surviving device to re-route to");
+        return;
+      }
+    }
+    if (pol.grid) {
+      grid.resize(n);
+      h.bind(grid);
+    }
+    msi_snapshot snap;
+    if (aware_) {
+      snap.capture(op_.deps, op_.n_deps);
+    }
+    event_list done;
+    std::size_t shard = 0;
+    try {
+      event_list ready = h.acquire(devs[0]);
+      if (pol.ordered) {
+        merge_order(ready);
+      }
+      // Declare the written byte ranges while the shards are in flight so
+      // an armed kernel_output flip corrupts genuine output (§10).
+      std::optional<output_hint_guard> hints;
+      if (aware_) {
+        hints.emplace(st_, op_.deps, op_.n_deps, resolved_);
+      }
+      for (; shard < n; ++shard) {
+        shard_.status = cudasim::sim_status::success;
+        h.run(devs[shard], shard, n, ready, done);
+        if (shard_.status != cudasim::sim_status::success) [[unlikely]] {
+          break;
+        }
+      }
+    } catch (...) {
+      if (fail_round(pol, round, std::current_exception(), devs[0], snap,
+                     done, devs, n)) {
+        continue;
+      }
+      return;
+    }
+    if (shard < n) [[unlikely]] {
+      if (fail_round(pol, round, nullptr, devs[shard], snap, done, devs, n)) {
+        continue;
+      }
+      return;
+    }
+    finish(h, pol, done, devs, n);
+    // The disarmed fast path (ctx.fast_path_submits()): a task with no
+    // engine armed and no observer attached.
+    if (!aware_ && op_.kind == op_kind::task && st_.ckpt == nullptr &&
+        st_.integ == nullptr && st_.dl == nullptr &&
         st_.order_edges.empty() && st_.observers.empty()) {
       ++st_.fast_submits;
     }
     return;
   }
-  execute_task_resilient(h, device);
 }
 
-void submit_pipeline::execute_task_resilient(op_hooks& h, int device) {
-  resolved_ = h.resolved;
-  if (cancelled()) {
-    return;
-  }
-  const int ndev = st_.plat->device_count();
-  for (int round = 0;; ++round) {
-    if (st_.device_blacklisted(device)) {
-      try {
-        device = st_.reroute_device(device);
-      } catch (const device_lost_error&) {
-        escalate(failure_kind::device_lost, device, round + 1,
-                 "no surviving device to re-route to");
-        return;
-      }
-      ++st_.report.tasks_rerouted;
-    }
-    msi_snapshot snap;
-    snap.capture(op_.deps, op_.n_deps);
-    event_list ready;
+bool submit_pipeline::fail_round(const op_policy& pol, int round,
+                                 std::exception_ptr ex, int device,
+                                 const msi_snapshot& snap, event_list& done,
+                                 const int* devs, std::size_t n) {
+  // Classify: a failed shard status (fault-aware path only) or the
+  // exception a stage threw. Typed failures are the ones the fault-aware
+  // path absorbs by re-routing or escalating.
+  failure_kind kind = failure_kind::submission_exception;
+  int attempts = round + 1;
+  std::string what;
+  bool typed = true;
+  bool partial = false;
+  if (ex == nullptr) {
+    kind = kind_of(shard_.status);
+    attempts = shard_.attempts + round;
+    what = cudasim::status_name(shard_.status);
+    partial = shard_.partial;
+  } else {
     try {
-      ready = h.acquire(device);
+      std::rethrow_exception(ex);
     } catch (const device_lost_error& e) {
-      // A copy endpoint died mid-acquire: restore *before* quarantining so
-      // evacuation sees the true pre-acquire coherency states.
-      rollback(snap);
-      st_.blacklist_device(e.device);
-      if (round < ndev) {
-        continue;
-      }
-      escalate(failure_kind::device_lost, e.device, round + 1,
-               "device lost during data acquire");
-      return;
+      kind = failure_kind::device_lost;
+      device = e.device;
+      what = "device lost during data acquire";
     } catch (const transfer_error& e) {
-      rollback(snap);
-      escalate(failure_kind::link_error, device, round + 1, e.what());
-      return;
+      kind = failure_kind::link_error;
+      what = e.what();
     } catch (const corruption_error& e) {
-      // Checksum mismatch with no valid replica (integrity engine, §10):
-      // escalate — epoch restart when checkpointing is armed, else the
-      // poison placed at detection time stands.
-      rollback(snap);
-      escalate(failure_kind::data_corrupted, e.device, round + 1, e.what());
-      return;
+      // Checksum mismatch with no valid replica (integrity engine, §10).
+      kind = failure_kind::data_corrupted;
+      device = e.device;
+      what = e.what();
     } catch (const std::bad_alloc& e) {
-      rollback(snap);
-      escalate(failure_kind::out_of_memory, device, round + 1, e.what());
-      return;
-    }
-    merge_order(ready);
-    resilient_result r;
-    event_list done;
-    try {
-      // Declare the written byte ranges while the submission is in flight
-      // so an armed kernel_output flip corrupts genuine output (§10).
-      output_hint_guard hints(st_, op_.deps, op_.n_deps, h.resolved);
-      h.run(&device, 1, ready, done, &r, nullptr);
-    } catch (const corruption_error& e) {
-      rollback(snap);
-      escalate(failure_kind::data_corrupted, e.device, round + 1, e.what());
-      return;
+      kind = failure_kind::out_of_memory;
+      what = e.what();
     } catch (const std::exception& e) {
-      rollback(snap);
-      hard_failure(failure_kind::submission_exception, device, round + 1,
-                   e.what());
-      throw;
+      typed = false;
+      what = e.what();
+    } catch (...) {
+      typed = false;
+      what = "non-standard exception";
     }
-    if (r.status == cudasim::sim_status::success) {
-      finish(h, done, &device, 1, true);
-      return;
-    }
-    rollback(snap);
-    const bool lost = r.status == cudasim::sim_status::error_device_lost;
-    if (lost) {
-      st_.blacklist_device(device);
-    }
-    if (lost && !r.partial && round < ndev) {
-      continue;  // re-routed at the top of the loop
-    }
-    if (r.partial) {
-      // The executed prefix still references the instances: its event must
-      // gate their deferred destruction.
-      guard_partial(op_.deps, op_.n_deps, h.resolved,
-                    event_list(std::move(r.ev)));
-    }
-    escalate(kind_of(r.status), device, r.attempts + round,
-             cudasim::status_name(r.status));
-    return;
   }
-}
-
-void submit_pipeline::execute_grid(op_hooks& h) {
-  if (st_.fault_aware()) {
-    execute_grid_resilient(h);
-    return;
+  // Work already submitted (earlier shards, a partial prefix) still
+  // references the instances: its events gate their deferred destruction
+  // and order any retry's copies after it.
+  if (partial) {
+    done.add(std::move(shard_.ev));
   }
-  const std::vector<int> devices = h.plan();
-  h.bind(devices);
-  execute_plain(h, devices.data(), devices.size(), true);
-}
-
-void submit_pipeline::execute_grid_resilient(op_hooks& h) {
-  resolved_ = h.resolved;
-  if (cancelled()) {
-    return;
+  if (!done.empty()) {
+    guard_partial(op_.deps, op_.n_deps, resolved_, done);
   }
-  const int max_rounds = st_.plat->device_count() + 1;
-  for (int round = 0; round < max_rounds; ++round) {
-    // plan() restores the originally-requested places, so every retry
-    // re-binds against the current survivors.
-    std::vector<int> devices;
-    try {
-      devices = h.plan();
-      filter_blacklisted(st_, devices);
-    } catch (const device_lost_error&) {
-      escalate(failure_kind::device_lost, -1, round + 1,
-               "no surviving device to re-route to");
-      return;
-    }
-    if (round > 0) {
-      ++st_.report.tasks_rerouted;
-    }
-    h.bind(devices);
-    msi_snapshot snap;
-    snap.capture(op_.deps, op_.n_deps);
-    event_list ready;
-    try {
-      ready = h.acquire(devices.front());
-    } catch (const device_lost_error& e) {
-      rollback(snap);
-      st_.blacklist_device(e.device);
-      continue;
-    } catch (const transfer_error& e) {
-      rollback(snap);
-      escalate(failure_kind::link_error, devices.front(), round + 1, e.what());
-      return;
-    } catch (const corruption_error& e) {
-      rollback(snap);
-      escalate(failure_kind::data_corrupted, e.device, round + 1, e.what());
-      return;
-    } catch (const std::bad_alloc& e) {
-      rollback(snap);
-      escalate(failure_kind::out_of_memory, devices.front(), round + 1,
-               e.what());
-      return;
-    }
-    // Publish the written spans to the fault injector so a scheduled
-    // kernel_output flip lands in real task output (§10).
-    output_hint_guard hints(st_, op_.deps, op_.n_deps, h.resolved);
-    event_list done;
-    resilient_result bad;
-    int bad_device = -1;
-    h.run(devices.data(), devices.size(), ready, done, &bad, &bad_device);
-    if (bad_device < 0) {
-      finish(h, done, devices.data(), devices.size(), true);
-      return;
-    }
-    // Order anything already submitted (and a partial prefix) before any
-    // retry copies and before deferred frees.
-    if (bad.ev) {
-      done.add(std::move(bad.ev));
-    }
-    guard_partial(op_.deps, op_.n_deps, h.resolved, done);
-    rollback(snap);
-    const bool lost = bad.status == cudasim::sim_status::error_device_lost;
-    if (lost) {
-      st_.blacklist_device(bad_device);
-      if (!bad.partial) {
-        continue;
-      }
-    }
-    escalate(kind_of(bad.status), bad_device, bad.attempts + round,
-             cudasim::status_name(bad.status));
-    return;
+  // Restore *before* quarantining so evacuation sees the true pre-acquire
+  // coherency states; a failed submission never reaches release, which
+  // normally unpins.
+  snap.restore();
+  unpin_deps(op_.deps, op_.n_deps);
+  const bool lost = kind == failure_kind::device_lost;
+  if (lost) {
+    st_.blacklist_device(device);
   }
-  escalate(failure_kind::device_lost, -1, max_rounds,
-           "retries exhausted after repeated device losses");
-}
-
-void submit_pipeline::execute_host_task(op_hooks& h) {
-  resolved_ = h.resolved;
-  const bool aware = st_.fault_aware();
-  if (aware && cancelled()) {
-    return;
+  // A failed shard status has nothing to rethrow: it always recovers.
+  if (ex == nullptr || (aware_ && typed && pol.escalates)) {
+    if (lost && !partial && pol.reroutes &&
+        round < st_.plat->device_count()) {
+      return true;  // re-routed at the top of the next round
+    }
+    escalate(kind, device, attempts, what.c_str());
+    return false;
   }
-  const int host_dev = -1;
-  event_list done;
-  try {
-    // Host tasks gather their inputs to the host; device-to-host copies
-    // remain allowed even from a failed device (evacuation grace), so a
-    // device loss rarely reaches this acquire.
-    event_list ready = h.acquire(-1);
-    merge_order(ready);
-    h.run(&host_dev, 1, ready, done, nullptr, nullptr);
-    finish(h, done, &host_dev, 1, false);
-  } catch (const device_lost_error& e) {
-    host_failure(aware, failure_kind::device_lost, e.device,
-                 "device lost during host-task acquire");
-  } catch (const transfer_error& e) {
-    host_failure(aware, failure_kind::link_error, -1, e.what());
-  } catch (const corruption_error& e) {
-    host_failure(aware, failure_kind::data_corrupted, e.device, e.what());
-  } catch (const std::bad_alloc& e) {
-    host_failure(aware, failure_kind::out_of_memory, -1, e.what());
-  } catch (const std::exception& e) {
-    plain_failure(failure_kind::submission_exception, -1, e.what());
-    throw;
+  if (pol.records) {
+    hard_failure(kind, device, attempts, what.c_str());
+  } else {
+    emit(op_status::failed, kind, 0, devs, n, {});
   }
-}
-
-void submit_pipeline::execute_host_shard(op_hooks& h) {
-  const int host_dev = -1;
-  execute_plain(h, &host_dev, 1, false);
+  std::rethrow_exception(ex);
 }
 
 // --- CUDASTF_DOT_FILE ---

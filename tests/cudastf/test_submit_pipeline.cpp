@@ -1,8 +1,10 @@
 // The staged submission pipeline and its observer API (DESIGN.md §13):
 // every construct lowers to the same op_desc/op_record shape, the lowering
 // is identical across backends, the disarmed path stays on the fast path
-// from any thread, and the shipped observers (trace, Graphviz DOT) render
-// the lowered graph — including poison cause-chain edges.
+// from any thread, the shipped observers (trace, Graphviz DOT) render
+// the lowered graph — including poison cause-chain edges — and the one
+// round loop ends every construct the pinned way under every failure
+// class (failure-outcome matrix).
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -355,6 +357,61 @@ TEST(SubmitPipeline, DotRendersPoisonCauseChain) {
   EXPECT_NE(text.find("[label=\"poison\""), std::string::npos);
 }
 
+// --- poison-cancel applies to every construct, host places included ---
+
+// A host-place parallel_for whose input was poisoned upstream must be
+// cancelled like the same op placed on a device: it must not run on the
+// stale host copy and write its output back as if nothing had failed.
+void host_parallel_for_on_poisoned_input(bool graph) {
+  cudasim::scoped_platform sp(1, tdesc());
+  cudasim::platform& p = sp.get();
+  auto& fi = p.ensure_fault_injector();
+  for (int i = 0; i < 2; ++i) {
+    fi.schedule({.kind = cudasim::fault_kind::kernel_fault,
+                 .device = -1,
+                 .at_op = 0});
+  }
+  context ctx = graph ? context::graph(p) : context(p);
+  ctx.set_retry_policy({.max_attempts = 2});
+  trace_observer trace;
+  ctx.observe(trace);
+  constexpr std::size_t n = 16;
+  std::vector<double> x(n, 1.0), y(n, 2.0);
+  auto lx = ctx.logical_data(x.data(), n, "x");
+  auto ly = ctx.logical_data(y.data(), n, "y");
+  ctx.task(exec_place::device(0), lx.rw()).set_symbol("writer")->*
+      [&p](cudasim::stream& s, slice<double> dx) {
+        p.launch_kernel(s, {.name = "writer"}, [=] { dx(0) = 8.0; });
+      };
+  ctx.parallel_for(exec_place::host(), ly.get_shape(), lx.read(), ly.rw())
+          .set_symbol("host_axpy")
+          ->*[](std::size_t i, slice<const double> dx, slice<double> dy) {
+                dy(i) += dx(i);
+              };
+  const error_report rep = ctx.finalize();
+  ASSERT_EQ(rep.failures.size(), 2u) << rep.to_string();
+  EXPECT_EQ(rep.failures[0].kind, failure_kind::kernel_fault);
+  EXPECT_EQ(rep.failures[1].kind, failure_kind::cancelled);
+  EXPECT_EQ(rep.failures[1].symbol, "host_axpy");
+  ASSERT_EQ(rep.failures[1].caused_by.size(), 1u);
+  EXPECT_EQ(rep.failures[1].caused_by[0], rep.failures[0].id);
+  EXPECT_EQ(rep.tasks_cancelled, 1u);
+  EXPECT_NE(ly.impl()->poisoned_by, 0u);  // y is poisoned in turn
+  EXPECT_DOUBLE_EQ(y[0], 2.0);            // and never written back
+  ASSERT_EQ(trace.records().size(), 2u);
+  EXPECT_EQ(trace.records()[1].status, op_status::cancelled);
+  EXPECT_EQ(trace.records()[1].cause_ids,
+            std::vector<std::uint64_t>{rep.failures[0].id});
+}
+
+TEST(SubmitPipeline, HostParallelForCancelsOnPoisonedInputStream) {
+  host_parallel_for_on_poisoned_input(false);
+}
+
+TEST(SubmitPipeline, HostParallelForCancelsOnPoisonedInputGraph) {
+  host_parallel_for_on_poisoned_input(true);
+}
+
 // --- CUDASTF_DOT_FILE: env-armed export at finalize ---
 
 TEST(SubmitPipeline, EnvVarArmsDotExportAtFinalize) {
@@ -380,6 +437,360 @@ TEST(SubmitPipeline, EnvVarArmsDotExportAtFinalize) {
   text << f.rdbuf();
   EXPECT_NE(text.str().find("task: only"), std::string::npos);
   std::remove(path.c_str());
+}
+
+
+// --- failure-outcome matrix: construct x failure x backend ---
+//
+// Pins how every construct ends under each failure class: the error
+// report's records (kind, device, attempts, detail prefix), the retry /
+// cancel / re-route counters, the op's terminal record, whether the call
+// throws, that no instance is left pinned, and the host value written
+// back. Every cell runs on two devices with a retry budget of 2; the op
+// under test always reads x and read-writes y (y += x) after a fault-free
+// warm-up task has left y modified on device 0.
+
+enum class construct { task, pf_device, pf_host, launch_grid, host_launch };
+enum class failure {
+  submit_exception,  // disarmed: x was never written, so acquire throws
+  armed_exception,   // the same with an idle injector (fault-aware path)
+  kernel_fault,      // transient kernel faults past the retry budget
+  loss_in_run,       // the op's last platform submission fails its device
+  loss_in_acquire,   // the op's first platform submission fails its device
+  poisoned_input,    // x's writer exhausted its retries upstream
+};
+
+const char* construct_name(construct c) {
+  switch (c) {
+    case construct::task:
+      return "task";
+    case construct::pf_device:
+      return "parallel_for@dev0";
+    case construct::pf_host:
+      return "parallel_for@host";
+    case construct::launch_grid:
+      return "launch@all";
+    case construct::host_launch:
+      return "host_launch";
+  }
+  return "?";
+}
+
+const char* failure_name(failure f) {
+  switch (f) {
+    case failure::submit_exception:
+      return "submit_exception";
+    case failure::armed_exception:
+      return "armed_exception";
+    case failure::kernel_fault:
+      return "kernel_fault";
+    case failure::loss_in_run:
+      return "loss_in_run";
+    case failure::loss_in_acquire:
+      return "loss_in_acquire";
+    case failure::poisoned_input:
+      return "poisoned_input";
+  }
+  return "?";
+}
+
+constexpr std::size_t kMatrixN = 64;
+
+void submit_construct(context& ctx, cudasim::platform& p, construct c,
+                      logical_data<slice<double>>& lx,
+                      logical_data<slice<double>>& ly) {
+  switch (c) {
+    case construct::task:
+      ctx.task(exec_place::device(0), lx.read(), ly.rw()).set_symbol("op")->*
+          [&p](cudasim::stream& s, slice<const double> x, slice<double> y) {
+            p.launch_kernel(s, {.name = "op"}, [=] {
+              for (std::size_t i = 0; i < y.size(); ++i) {
+                y(i) += x(i);
+              }
+            });
+          };
+      return;
+    case construct::pf_device:
+    case construct::pf_host:
+      ctx.parallel_for(c == construct::pf_host ? exec_place::host()
+                                               : exec_place::device(0),
+                       ly.get_shape(), lx.read(), ly.rw())
+              .set_symbol("op")
+              ->*[](std::size_t i, slice<const double> x, slice<double> y) {
+                    y(i) += x(i);
+                  };
+      return;
+    case construct::launch_grid:
+      ctx.launch(par(con(4)), exec_place::all_devices(), lx.read(), ly.rw())
+              .set_symbol("op")
+              ->*[](thread_hierarchy& th, slice<const double> x,
+                    slice<double> y) {
+                    for (auto [i] : th.apply_partition(shape(y))) {
+                      y(i) += x(i);
+                    }
+                  };
+      return;
+    case construct::host_launch:
+      ctx.host_launch(lx.read(), ly.rw()).set_symbol("op")->*
+          [](slice<const double> x, slice<double> y) {
+            for (std::size_t i = 0; i < y.size(); ++i) {
+              y(i) += x(i);
+            }
+          };
+      return;
+  }
+}
+
+std::size_t pinned_instances(const logical_data<slice<double>>& ld) {
+  std::size_t n = 0;
+  for (const auto& inst : ld.impl()->instances()) {
+    n += inst->pinned ? 1 : 0;
+  }
+  return n;
+}
+
+// Runs one cell and renders its outcome. With `span` non-null the cell is
+// a dry run: no fault is scheduled, and *span receives the number of
+// platform submissions the op under test made.
+std::string run_cell(bool graph, construct c, failure f,
+                     std::uint64_t* span = nullptr) {
+  const bool dry = span != nullptr;
+  std::uint64_t op_span = 0;
+  if (!dry && f == failure::loss_in_run) {
+    run_cell(graph, c, f, &op_span);
+  }
+  cudasim::scoped_platform sp(2, tdesc());
+  cudasim::platform& p = sp.get();
+  cudasim::fault_injector* fi = nullptr;
+  if (f != failure::submit_exception) {
+    fi = &p.ensure_fault_injector();
+  }
+  context ctx = graph ? context::graph(p) : context(p);
+  ctx.set_retry_policy({.max_attempts = 2});
+  trace_observer trace;
+  ctx.observe(trace);
+
+  std::vector<double> x(kMatrixN, 1.0), y(kMatrixN, 2.0);
+  const bool uninitialized_x =
+      f == failure::submit_exception || f == failure::armed_exception;
+  auto lx = uninitialized_x
+                ? ctx.logical_data<double>(box<1>(kMatrixN), "x")
+                : ctx.logical_data(x.data(), kMatrixN, "x");
+  auto ly = ctx.logical_data(y.data(), kMatrixN, "y");
+  ctx.task(exec_place::device(0), ly.rw()).set_symbol("warm")->*
+      [&p](cudasim::stream& s, slice<double> dy) {
+        p.launch_kernel(s, {.name = "warm"}, [=] {
+          for (std::size_t i = 0; i < dy.size(); ++i) {
+            dy(i) += 1.0;
+          }
+        });
+      };
+  // The grid op loses device 1 so a survivor remains inside its grid; the
+  // single-device ops lose the device they run on.
+  const int victim = c == construct::launch_grid ? 1 : 0;
+  if (!dry) {
+    switch (f) {
+      case failure::submit_exception:
+      case failure::armed_exception:
+        break;
+      case failure::kernel_fault:
+        for (int i = 0; i < 8; ++i) {
+          fi->schedule({.kind = cudasim::fault_kind::kernel_fault,
+                        .device = -1,
+                        .at_op = 0});
+        }
+        break;
+      case failure::loss_in_run:
+        fi->schedule({.kind = cudasim::fault_kind::device_fail,
+                      .device = victim,
+                      .at_op = fi->ops_seen() + op_span});
+        break;
+      case failure::loss_in_acquire:
+        fi->schedule({.kind = cudasim::fault_kind::device_fail,
+                      .device = victim,
+                      .at_op = fi->ops_seen() + 1});
+        break;
+      case failure::poisoned_input:
+        for (int i = 0; i < 2; ++i) {
+          fi->schedule({.kind = cudasim::fault_kind::kernel_fault,
+                        .device = -1,
+                        .at_op = 0});
+        }
+        ctx.task(exec_place::device(0), lx.rw()).set_symbol("writer")->*
+            [&p](cudasim::stream& s, slice<double> dx) {
+              p.launch_kernel(s, {.name = "writer"}, [=] {
+                for (std::size_t i = 0; i < dx.size(); ++i) {
+                  dx(i) = 9.0;
+                }
+              });
+            };
+        break;
+    }
+  }
+
+  const std::uint64_t ops_before = fi != nullptr ? fi->ops_seen() : 0;
+  std::string threw = "0";
+  try {
+    submit_construct(ctx, p, c, lx, ly);
+  } catch (const std::exception& e) {
+    threw = std::string("\"") + std::string(e.what()).substr(0, 32) + "\"";
+  }
+  if (dry) {
+    *span = fi->ops_seen() - ops_before;
+  }
+  const std::size_t pinned = pinned_instances(lx) + pinned_instances(ly);
+  bool finalize_threw = false;
+  error_report rep;
+  try {
+    rep = ctx.finalize();
+  } catch (const std::exception&) {
+    finalize_threw = true;
+  }
+
+  std::ostringstream out;
+  out << "threw=" << threw << " op=";
+  const op_record* rec = nullptr;
+  for (const op_record& r : trace.records()) {
+    if (r.symbol == "op") {
+      rec = &r;
+    }
+  }
+  if (rec == nullptr) {
+    out << "none";
+  } else {
+    switch (rec->status) {
+      case op_status::ok:
+        out << "ok";
+        break;
+      case op_status::cancelled:
+        out << "cancelled";
+        break;
+      case op_status::failed:
+        out << "failed(" << failure_kind_name(rec->fail) << ")";
+        break;
+    }
+    out << "[";
+    for (std::size_t i = 0; i < rec->devices.size(); ++i) {
+      out << (i > 0 ? "," : "") << rec->devices[i];
+    }
+    out << "]";
+  }
+  out << " retried=" << rep.tasks_retried
+      << " cancelled=" << rep.tasks_cancelled
+      << " rerouted=" << rep.tasks_rerouted
+      << " blacklisted=" << rep.devices_blacklisted << " pinned=" << pinned
+      << " y0=" << y[0];
+  if (finalize_threw) {
+    out << " finalize_threw";
+  }
+  for (const task_failure& tf : rep.failures) {
+    out << " | " << failure_kind_name(tf.kind) << " '" << tf.symbol << "'@"
+        << tf.device << "#" << tf.attempts << " \""
+        << tf.detail.substr(0, 32) << "\"";
+  }
+  return out.str();
+}
+
+void check_matrix(bool graph, const std::vector<std::string>& golden) {
+  const construct constructs[] = {construct::task, construct::pf_device,
+                                   construct::pf_host, construct::launch_grid,
+                                   construct::host_launch};
+  const failure failures[] = {failure::submit_exception,
+                              failure::armed_exception, failure::kernel_fault,
+                              failure::loss_in_run, failure::loss_in_acquire,
+                              failure::poisoned_input};
+  std::size_t i = 0;
+  bool same = true;
+  std::string all;  // the whole table in golden syntax, printed on a diff
+  for (construct c : constructs) {
+    for (failure f : failures) {
+      const std::string got = run_cell(graph, c, f);
+      all += "      R\"(" + got + ")\",\n";
+      const bool match = i < golden.size() && got == golden[i];
+      EXPECT_TRUE(match) << construct_name(c) << " x " << failure_name(f)
+                         << "\n  got:    " << got << "\n  golden: "
+                         << (i < golden.size() ? golden[i] : "(none)");
+      same = same && match;
+      ++i;
+    }
+  }
+  EXPECT_EQ(golden.size(), i);
+  if (!same) {
+    ADD_FAILURE() << "observed table:\n" << all;
+  }
+}
+
+// Row order: construct (task, parallel_for@dev0, parallel_for@host,
+// launch@all, host_launch) x failure (submit_exception, armed_exception,
+// kernel_fault, loss_in_run, loss_in_acquire, poisoned_input).
+TEST(FailureMatrix, StreamBackend) {
+  check_matrix(false, {
+      R"(threw="cudastf: read of uninitialized l" op=failed(submission_exception)[0] retried=0 cancelled=0 rerouted=0 blacklisted=0 pinned=0 y0=2 | submission_exception 'op'@0#1 "cudastf: read of uninitialized l")",
+      R"(threw="cudastf: read of uninitialized l" op=failed(submission_exception)[0] retried=0 cancelled=0 rerouted=0 blacklisted=0 pinned=0 y0=2 | submission_exception 'op'@0#1 "cudastf: read of uninitialized l")",
+      R"(threw=0 op=failed(kernel_fault)[0] retried=1 cancelled=0 rerouted=0 blacklisted=0 pinned=0 y0=2 | kernel_fault 'op'@0#2 "error_launch_failed")",
+      R"(threw=0 op=ok[1] retried=0 cancelled=0 rerouted=1 blacklisted=1 pinned=0 y0=4)",
+      R"(threw=0 op=ok[1] retried=0 cancelled=0 rerouted=1 blacklisted=1 pinned=0 y0=4)",
+      R"(threw=0 op=cancelled[] retried=1 cancelled=1 rerouted=0 blacklisted=0 pinned=0 y0=2 | kernel_fault 'writer'@0#2 "error_launch_failed" | cancelled 'op'@-1#0 "not executed: input poisoned by ")",
+      R"(threw="cudastf: read of uninitialized l" op=failed(submission_exception)[0] retried=0 cancelled=0 rerouted=0 blacklisted=0 pinned=0 y0=3)",
+      R"(threw="cudastf: read of uninitialized l" op=failed(submission_exception)[0] retried=0 cancelled=0 rerouted=0 blacklisted=0 pinned=0 y0=3)",
+      R"(threw=0 op=failed(kernel_fault)[0] retried=1 cancelled=0 rerouted=0 blacklisted=0 pinned=0 y0=2 | kernel_fault 'op'@0#2 "error_launch_failed")",
+      R"(threw=0 op=ok[1] retried=0 cancelled=0 rerouted=1 blacklisted=1 pinned=0 y0=4)",
+      R"(threw=0 op=ok[1] retried=0 cancelled=0 rerouted=1 blacklisted=1 pinned=0 y0=4)",
+      R"(threw=0 op=cancelled[] retried=1 cancelled=1 rerouted=0 blacklisted=0 pinned=0 y0=2 | kernel_fault 'writer'@0#2 "error_launch_failed" | cancelled 'op'@-1#0 "not executed: input poisoned by ")",
+      R"(threw="cudastf: read of uninitialized l" op=failed(submission_exception)[-1] retried=0 cancelled=0 rerouted=0 blacklisted=0 pinned=0 y0=3)",
+      R"(threw="cudastf: read of uninitialized l" op=failed(submission_exception)[-1] retried=0 cancelled=0 rerouted=0 blacklisted=0 pinned=0 y0=3)",
+      R"(threw=0 op=ok[-1] retried=0 cancelled=0 rerouted=0 blacklisted=0 pinned=0 y0=4)",
+      R"(threw=0 op=ok[-1] retried=0 cancelled=0 rerouted=0 blacklisted=0 pinned=0 y0=4)",
+      R"(threw=0 op=ok[-1] retried=0 cancelled=0 rerouted=0 blacklisted=0 pinned=0 y0=4)",
+      R"(threw=0 op=cancelled[] retried=1 cancelled=1 rerouted=0 blacklisted=0 pinned=0 y0=2 | kernel_fault 'writer'@0#2 "error_launch_failed" | cancelled 'op'@-1#0 "not executed: input poisoned by ")",
+      R"(threw="cudastf: read of uninitialized l" op=failed(submission_exception)[0,1] retried=0 cancelled=0 rerouted=0 blacklisted=0 pinned=0 y0=3)",
+      R"(threw="cudastf: read of uninitialized l" op=failed(submission_exception)[0,1] retried=0 cancelled=0 rerouted=0 blacklisted=0 pinned=0 y0=3)",
+      R"(threw=0 op=failed(kernel_fault)[0] retried=1 cancelled=0 rerouted=0 blacklisted=0 pinned=0 y0=2 | kernel_fault 'op'@0#2 "error_launch_failed")",
+      R"(threw=0 op=ok[0] retried=0 cancelled=0 rerouted=1 blacklisted=1 pinned=0 y0=4)",
+      R"(threw=0 op=ok[0] retried=0 cancelled=0 rerouted=1 blacklisted=1 pinned=0 y0=4)",
+      R"(threw=0 op=cancelled[] retried=1 cancelled=1 rerouted=0 blacklisted=0 pinned=0 y0=2 | kernel_fault 'writer'@0#2 "error_launch_failed" | cancelled 'op'@-1#0 "not executed: input poisoned by ")",
+      R"(threw="cudastf: read of uninitialized l" op=failed(submission_exception)[-1] retried=0 cancelled=0 rerouted=0 blacklisted=0 pinned=0 y0=2 | submission_exception 'op'@-1#1 "cudastf: read of uninitialized l")",
+      R"(threw="cudastf: read of uninitialized l" op=failed(submission_exception)[-1] retried=0 cancelled=0 rerouted=0 blacklisted=0 pinned=0 y0=2 | submission_exception 'op'@-1#1 "cudastf: read of uninitialized l")",
+      R"(threw=0 op=ok[-1] retried=0 cancelled=0 rerouted=0 blacklisted=0 pinned=0 y0=4)",
+      R"(threw=0 op=ok[-1] retried=0 cancelled=0 rerouted=0 blacklisted=0 pinned=0 y0=4)",
+      R"(threw=0 op=ok[-1] retried=0 cancelled=0 rerouted=0 blacklisted=0 pinned=0 y0=4)",
+      R"(threw=0 op=cancelled[] retried=1 cancelled=1 rerouted=0 blacklisted=0 pinned=0 y0=2 | kernel_fault 'writer'@0#2 "error_launch_failed" | cancelled 'op'@-1#0 "not executed: input poisoned by ")",
+  });
+}
+
+TEST(FailureMatrix, GraphBackend) {
+  check_matrix(true, {
+      R"(threw="cudastf: read of uninitialized l" op=failed(submission_exception)[0] retried=0 cancelled=0 rerouted=0 blacklisted=0 pinned=0 y0=2 | submission_exception 'op'@0#1 "cudastf: read of uninitialized l")",
+      R"(threw="cudastf: read of uninitialized l" op=failed(submission_exception)[0] retried=0 cancelled=0 rerouted=0 blacklisted=0 pinned=0 y0=2 | submission_exception 'op'@0#1 "cudastf: read of uninitialized l")",
+      R"(threw=0 op=failed(kernel_fault)[0] retried=1 cancelled=0 rerouted=0 blacklisted=0 pinned=0 y0=2 | kernel_fault 'op'@0#2 "error_launch_failed" | device_lost 'finalize'@-1#1 "final epoch refused: cudastf: tr")",
+      R"(threw="cudastf: device lost" op=none retried=0 cancelled=0 rerouted=0 blacklisted=1 pinned=0 y0=2 | device_lost 'finalize'@-1#1 "final epoch refused: cudastf: de")",
+      R"(threw="cudastf: device lost" op=none retried=0 cancelled=0 rerouted=0 blacklisted=1 pinned=0 y0=2)",
+      R"(threw=0 op=cancelled[] retried=1 cancelled=1 rerouted=0 blacklisted=0 pinned=0 y0=2 | kernel_fault 'writer'@0#2 "error_launch_failed" | cancelled 'op'@-1#0 "not executed: input poisoned by ")",
+      R"(threw="cudastf: read of uninitialized l" op=failed(submission_exception)[0] retried=0 cancelled=0 rerouted=0 blacklisted=0 pinned=0 y0=3)",
+      R"(threw="cudastf: read of uninitialized l" op=failed(submission_exception)[0] retried=0 cancelled=0 rerouted=0 blacklisted=0 pinned=0 y0=3)",
+      R"(threw=0 op=failed(kernel_fault)[0] retried=1 cancelled=0 rerouted=0 blacklisted=0 pinned=0 y0=2 | kernel_fault 'op'@0#2 "error_launch_failed" | device_lost 'finalize'@-1#1 "final epoch refused: cudastf: tr")",
+      R"(threw="cudastf: device lost" op=none retried=0 cancelled=0 rerouted=0 blacklisted=1 pinned=0 y0=2 | device_lost 'finalize'@-1#1 "final epoch refused: cudastf: de")",
+      R"(threw="cudastf: device lost" op=none retried=0 cancelled=0 rerouted=0 blacklisted=1 pinned=0 y0=2)",
+      R"(threw=0 op=cancelled[] retried=1 cancelled=1 rerouted=0 blacklisted=0 pinned=0 y0=2 | kernel_fault 'writer'@0#2 "error_launch_failed" | cancelled 'op'@-1#0 "not executed: input poisoned by ")",
+      R"(threw="cudastf: read of uninitialized l" op=failed(submission_exception)[-1] retried=0 cancelled=0 rerouted=0 blacklisted=0 pinned=0 y0=3)",
+      R"(threw="cudastf: read of uninitialized l" op=failed(submission_exception)[-1] retried=0 cancelled=0 rerouted=0 blacklisted=0 pinned=0 y0=3)",
+      R"(threw=0 op=ok[-1] retried=0 cancelled=0 rerouted=0 blacklisted=0 pinned=0 y0=2 | device_lost 'finalize'@-1#1 "final epoch refused: cudastf: tr")",
+      R"(threw=0 op=ok[-1] retried=0 cancelled=0 rerouted=0 blacklisted=0 pinned=0 y0=2 | device_lost 'finalize'@-1#1 "final epoch refused: cudastf: de")",
+      R"(threw=0 op=ok[-1] retried=0 cancelled=0 rerouted=0 blacklisted=0 pinned=0 y0=2 | device_lost 'finalize'@-1#1 "final epoch refused: cudastf: de")",
+      R"(threw=0 op=cancelled[] retried=1 cancelled=1 rerouted=0 blacklisted=0 pinned=0 y0=2 | kernel_fault 'writer'@0#2 "error_launch_failed" | cancelled 'op'@-1#0 "not executed: input poisoned by ")",
+      R"(threw="cudastf: read of uninitialized l" op=failed(submission_exception)[0,1] retried=0 cancelled=0 rerouted=0 blacklisted=0 pinned=0 y0=3)",
+      R"(threw="cudastf: read of uninitialized l" op=failed(submission_exception)[0,1] retried=0 cancelled=0 rerouted=0 blacklisted=0 pinned=0 y0=3)",
+      R"(threw=0 op=failed(kernel_fault)[0] retried=1 cancelled=0 rerouted=0 blacklisted=0 pinned=0 y0=2 | kernel_fault 'op'@0#2 "error_launch_failed" | device_lost 'finalize'@-1#1 "final epoch refused: cudastf: tr")",
+      R"(threw=0 op=ok[0] retried=0 cancelled=0 rerouted=1 blacklisted=1 pinned=0 y0=4)",
+      R"(threw=0 op=ok[0] retried=0 cancelled=0 rerouted=1 blacklisted=1 pinned=0 y0=4)",
+      R"(threw=0 op=cancelled[] retried=1 cancelled=1 rerouted=0 blacklisted=0 pinned=0 y0=2 | kernel_fault 'writer'@0#2 "error_launch_failed" | cancelled 'op'@-1#0 "not executed: input poisoned by ")",
+      R"(threw="cudastf: read of uninitialized l" op=failed(submission_exception)[-1] retried=0 cancelled=0 rerouted=0 blacklisted=0 pinned=0 y0=2 | submission_exception 'op'@-1#1 "cudastf: read of uninitialized l")",
+      R"(threw="cudastf: read of uninitialized l" op=failed(submission_exception)[-1] retried=0 cancelled=0 rerouted=0 blacklisted=0 pinned=0 y0=2 | submission_exception 'op'@-1#1 "cudastf: read of uninitialized l")",
+      R"(threw=0 op=ok[-1] retried=0 cancelled=0 rerouted=0 blacklisted=0 pinned=0 y0=2 | device_lost 'finalize'@-1#1 "final epoch refused: cudastf: tr")",
+      R"(threw=0 op=ok[-1] retried=0 cancelled=0 rerouted=0 blacklisted=0 pinned=0 y0=2 | device_lost 'finalize'@-1#1 "final epoch refused: cudastf: de")",
+      R"(threw=0 op=ok[-1] retried=0 cancelled=0 rerouted=0 blacklisted=0 pinned=0 y0=2 | device_lost 'finalize'@-1#1 "final epoch refused: cudastf: de")",
+      R"(threw=0 op=cancelled[] retried=1 cancelled=1 rerouted=0 blacklisted=0 pinned=0 y0=2 | kernel_fault 'writer'@0#2 "error_launch_failed" | cancelled 'op'@-1#0 "not executed: input poisoned by ")",
+  });
 }
 
 }  // namespace
