@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # Tier-1 verification: configure, build, run the full test suite, then the
-# Table I task-overhead benchmark in JSON mode. Exits nonzero on any
-# failure. Usage: scripts/tier1.sh [--sanitize] [--tsan] [--bench-smoke]
-#                                  [--chaos] [build-dir]
+# Table I task-overhead benchmark in JSON mode and the Fig. 3 out-of-core
+# benchmark, whose JSON must equal BENCH_fig3.json byte for byte. Exits
+# nonzero on any failure.
+# Usage: scripts/tier1.sh [--sanitize] [--tsan] [--bench-smoke] [--chaos]
+#                         [build-dir]
 #
 # --sanitize additionally builds an ASan+UBSan tree (build-asan) and runs
 # the fault-injection, checkpoint, eviction and transfer tests under it —
@@ -60,7 +62,14 @@ cmake --build "$build" -j "$jobs"
 timeout --signal=KILL "${TIER1_CTEST_TIMEOUT:-600}" \
   ctest --test-dir "$build" --output-on-failure -j "$jobs"
 "$build/bench/bench_table1_task_overhead" --json
-"$build/bench/bench_fig3_oom_cholesky" --json
+# Fig. 3 gate: every field of its JSON is virtual time, so the output must
+# match the checked-in BENCH_fig3.json byte for byte. Any drift of the
+# one-device out-of-core victim policy fails the run.
+if ! "$build/bench/bench_fig3_oom_cholesky" --json |
+    cmp - "$repo/BENCH_fig3.json"; then
+  echo "tier1: bench_fig3_oom_cholesky --json differs from BENCH_fig3.json" >&2
+  exit 1
+fi
 
 # Sorted unique JSON object keys of a record stream — the schema, not the
 # values.

@@ -158,9 +158,12 @@ event_list acquire_dep(context_state& st, const task_dep_untyped& dep,
 
   data_instance& inst = d.instance_at(resolved);
   inst.pinned = true;
-  inst.prev_use = inst.last_use;
-  inst.last_use = ++st.use_counter;
-  st.mem.on_use(inst);
+  if (resolved.type() == data_place::kind::device) {
+    // Only device instances are victims; each reads its device's clock.
+    inst.prev_use = inst.last_use;
+    inst.last_use = st.mem.tick(resolved.device_index());
+    st.mem.on_use(inst);
+  }
 
   // allocate: make sure the instance has backing at this place.
   if (!inst.allocated) {
@@ -240,7 +243,18 @@ event_list write_back_host(context_state& st, logical_data_impl& d) {
     return {};
   }
   if (!request_transfer(st, d, *host)) {
-    return {};  // no valid copy survives: nothing to write back
+    // No valid copy survives. Shape-only data no task ever wrote never had
+    // contents; anything else lost them, and must not pass for written back.
+    if (host->user_owned || d.write_version > 1) {
+      d.poisoned_by =
+          st.record_failure(failure_kind::data_lost, d.name(), -1, 1,
+                            "write-back found no valid copy to write back");
+      if (!st.report.failures.empty() &&
+          st.report.failures.back().id == d.poisoned_by) {
+        st.report.failures.back().poisoned.push_back(d.name());
+      }
+    }
+    return {};
   }
   if (st.integ != nullptr) [[unlikely]] {
     // Last trust boundary before the bytes reach the application: a flip

@@ -63,9 +63,6 @@ struct context_state {
   /// paper scale without paying host-side numerics.
   bool compute_payloads = true;
 
-  /// LRU clock for eviction.
-  std::uint64_t use_counter = 0;
-
   /// Redundant events (duplicates, completed, dominated by a later
   /// same-stream event) pruned while building dependency lists on the
   /// acquire/release path (§IV).
@@ -95,7 +92,7 @@ struct context_state {
 
   /// One OOM round: evicts up to mem.cfg.evict_batch unpinned resident
   /// instances from `device` (more if needed to cover `bytes_needed`),
-  /// staging modified victims first. False when nothing was evictable.
+  /// staging sole-copy victims first. False when nothing was evictable.
   bool evict_for(int device, std::size_t bytes_needed);
 
   // --- transfer planner (transfer.cpp, DESIGN.md §6) ---

@@ -44,6 +44,8 @@ struct data_instance {
   bool allocated = false;
   bool user_owned = false;  ///< host memory owned by the application
   bool pinned = false;      ///< protected from eviction during a prologue
+  /// Last acquire of a device instance, as a reading of its device's use
+  /// clock (mem_engine.hpp); host and composite instances keep 0.
   std::uint64_t last_use = 0;
   /// The use before last (LRU-2 style): last_use - prev_use is the reuse
   /// interval the memory engine's scan-resistant victim scoring keys on.
@@ -127,7 +129,8 @@ class logical_data_impl
   /// Contents generation: bumped when a writing task's completion is
   /// recorded (release_dep). The transfer planner tags fills with it so a
   /// pending fill can only be joined while it still delivers the current
-  /// contents (coalescing, DESIGN.md §6).
+  /// contents (coalescing, DESIGN.md §6). Still 1 on shape-only data
+  /// nothing has written yet.
   std::uint64_t write_version = 1;
 
   /// Failure id (error_report) that poisoned this data, 0 while healthy.

@@ -6,11 +6,17 @@
 // recycle evicted blocks without a platform malloc/free round-trip, each
 // block carrying the precise completion events of its previous life
 // instead of serializing on the shared alloc stream; (2) a per-device
-// resident-instance index with lookahead-aware victim scoring (clean before
-// dirty, idle before pending, and replay-log future uses when checkpointing
-// is armed); (3) batched eviction plus prefetch-back of evicted instances
-// through the transfer engine so re-fills overlap compute instead of
-// stalling acquire.
+// resident-instance index with lookahead-aware victim scoring (droppable
+// before sole copies, idle before pending, and replay-log future uses when
+// checkpointing is armed); (3) batched eviction plus prefetch-back of
+// evicted instances through the transfer engine so re-fills overlap
+// compute instead of stalling acquire.
+//
+// Each device keeps its own use clock, ticked by acquires of that device's
+// instances and by prefetch-back refills into it; last_use and prev_use of
+// a device instance are readings of its device's clock, so the reuse
+// interval and the scan_guard window count that device's accesses only,
+// whatever the device count.
 //
 // Victim selection walks the index in key order instead of scanning it.
 // Each device keeps two intrusive lists of its resident instances, ordered
@@ -64,26 +70,27 @@ struct mem_config {
   /// Victims evicted per OOM round; >1 leaves recycled blocks ready for
   /// the allocations that follow.
   std::size_t evict_batch = 2;
-  /// Victim-score penalty (LRU-clock ticks) for a modified instance whose
-  /// eviction costs a write-back.
+  /// Victim-score penalty (use-clock ticks) for a sole copy — a modified
+  /// instance, or the only valid one — whose eviction costs a write-back.
   std::uint64_t dirty_penalty = 256;
   /// Penalty for an instance with uncompleted reader/writer events — its
   /// recycled block would stall the next consumer on those events.
   std::uint64_t pending_penalty = 64;
   /// Scan resistance (LRU-2 flavored): an instance whose reuse interval
-  /// (last_use - prev_use, in acquire ticks) exceeds this is classed as
-  /// streaming — touched once per sweep of a working set too big to cache —
-  /// and streaming victims are evicted most-recent-first, which keeps a
-  /// stable resident prefix under a cyclic sweep instead of LRU's
-  /// every-access-misses thrash. Short-interval (hot) instances are only
-  /// evicted when no streaming victim exists. 0 disables (pure LRU base).
+  /// (last_use - prev_use, in acquire ticks of the instance's device)
+  /// exceeds this is classed as streaming — touched once per sweep of a
+  /// working set too big to cache — and streaming victims are evicted
+  /// most-recent-first, which keeps a stable resident prefix under a
+  /// cyclic sweep instead of LRU's every-access-misses thrash.
+  /// Short-interval (hot) instances are only evicted when no streaming
+  /// victim exists. 0 disables (pure LRU base).
   std::uint64_t scan_threshold = 768;
   /// Young guard on the streaming class: a victim acquired within the last
-  /// scan_guard ticks has its producing kernels still in flight, so its
-  /// write-back — and the allocation recycling its block — would chain
-  /// behind the newest compute. Such victims are deferred behind older
-  /// streaming ones, trading a few extra misses for a shallow dependency
-  /// pipeline. 0 disables the guard.
+  /// scan_guard acquire ticks of its device has its producing kernels
+  /// still in flight, so its write-back — and the allocation recycling its
+  /// block — would chain behind the newest compute. Such victims are
+  /// deferred behind older streaming ones, trading a few extra misses for
+  /// a shallow dependency pipeline. 0 disables the guard.
   std::uint64_t scan_guard = 192;
   /// Penalty for data a not-yet-replayed submission-log entry touches
   /// (only meaningful during a checkpoint epoch replay, when the log *is*
@@ -140,6 +147,12 @@ class mem_engine {
   void on_resident(int device, logical_data_impl& d, data_instance& inst);
   void on_nonresident(int device, data_instance& inst);
 
+  /// Ticks the device's use clock and returns the new reading.
+  std::uint64_t tick(int device) { return ++dev(device).clock; }
+
+  /// The device's use clock: 0 until its first tick.
+  std::uint64_t clock(int device) const;
+
   /// Must follow every change of a device instance's last_use or
   /// prev_use: moves it to its place in the victim lists.
   void on_use(data_instance& inst) {
@@ -158,7 +171,7 @@ class mem_engine {
   /// position. Empty when nothing is evictable.
   struct victim_choice {
     resident_ref best;
-    const data_instance* lru = nullptr;
+    resident_ref lru;
   };
   victim_choice pick_victim(const context_state& st, int device);
 
@@ -192,6 +205,8 @@ class mem_engine {
     std::unordered_map<std::size_t, std::vector<cached_block>> bins;
     std::size_t cached_bytes = 0;
     std::vector<resident_ref> resident;
+    /// The device's use clock (see the header comment).
+    std::uint64_t clock = 0;
     /// Victim lists, indexed by lru_class - 1 (streaming, hot); valid once
     /// `ordered`, for the scan_threshold they were classified under.
     lru_list lists[2];

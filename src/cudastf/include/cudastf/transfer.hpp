@@ -71,10 +71,11 @@ bool request_transfer(context_state& st, logical_data_impl& d,
 data_instance* pick_transfer_source(context_state& st, logical_data_impl& d,
                                     const data_instance& dst);
 
-/// Eviction staging (DESIGN.md §6): tries to park the sole modified copy on
-/// a healthy peer device with pool headroom — one p2p hop instead of the
-/// host round-trip. Returns false (caller stages to host) when no peer
-/// qualifies or the peer copy cannot be issued.
+/// Eviction staging (DESIGN.md §6): tries to park the sole copy on a
+/// healthy peer device with pool headroom — one p2p hop instead of the
+/// host round-trip. The peer copy keeps the victim's age and reuse interval,
+/// translated to the peer's use clock. Returns false (caller stages to
+/// host) when no peer qualifies or the peer copy cannot be issued.
 bool stage_eviction_to_peer(context_state& st, logical_data_impl& d,
                             data_instance& victim, int from_device);
 

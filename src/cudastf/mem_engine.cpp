@@ -141,6 +141,13 @@ void mem_engine::on_nonresident(int device, data_instance& inst) {
   inst.resident_pos = data_instance::not_resident;
 }
 
+std::uint64_t mem_engine::clock(int device) const {
+  if (static_cast<std::size_t>(device) >= dev_.size()) {
+    return 0;
+  }
+  return dev_[static_cast<std::size_t>(device)].clock;
+}
+
 std::vector<mem_engine::resident_ref>* mem_engine::resident(int device) {
   if (static_cast<std::size_t>(device) >= dev_.size()) {
     return nullptr;
@@ -283,7 +290,7 @@ void mem_engine::pump_prefetch(context_state& st, int /*device*/) {
         release_device_instance(st, *d, inst, /*recycle=*/true);
         continue;
       }
-      inst.last_use = ++st.use_counter;  // fresh fill: not the next victim
+      inst.last_use = tick(e.device);  // fresh fill: not the next victim
       on_use(inst);
       ++st.backend->mutable_stats().prefetch_refills;
       --budget;
@@ -350,6 +357,22 @@ bool evictable(const data_instance& inst) {
   return !inst.pinned && !inst.user_owned && inst.allocated;
 }
 
+/// Dropping `inst` would lose the data's contents: it is modified, or it
+/// is valid and no other instance is. After a peer read the producer's
+/// copy is shared and the host copy invalid, so two shared replicas can be
+/// all that is left; the last of them must be staged, not dropped.
+bool sole_copy(const logical_data_impl& d, const data_instance& inst) {
+  if (inst.state != msi_state::shared) {
+    return inst.state == msi_state::modified;
+  }
+  for (const auto& other : d.instances()) {
+    if (other.get() != &inst && other->state != msi_state::invalid) {
+      return false;
+    }
+  }
+  return true;
+}
+
 // Scan resistance: streaming instances (reuse interval beyond the
 // threshold) are evicted most-recent-first and always before hot ones.
 // scan_base splits the key space so every streaming key sorts below every
@@ -357,29 +380,30 @@ bool evictable(const data_instance& inst) {
 constexpr std::uint64_t scan_base = std::uint64_t{1} << 40;
 
 bool young(const mem_config& cfg, const data_instance& inst,
-           std::uint64_t use_counter) {
+           std::uint64_t clock) {
   // Too young: its producers are still in flight (see scan_guard).
-  return cfg.scan_guard != 0 && inst.last_use + cfg.scan_guard > use_counter;
+  return cfg.scan_guard != 0 && inst.last_use + cfg.scan_guard > clock;
 }
 
 /// The victim key: lowest is evicted first. The penalty-free part depends
-/// only on the class and last_use; the penalties are nonnegative.
+/// only on the class and last_use; the penalties are nonnegative. `clock`
+/// is the use clock of the instance's device.
 std::uint64_t victim_key(const context_state& st, const mem_config& cfg,
-                         const logical_data_impl& d,
-                         const data_instance& inst) {
+                         const logical_data_impl& d, const data_instance& inst,
+                         std::uint64_t clock) {
   if (!cfg.lookahead) {
     return inst.last_use;
   }
   std::uint64_t key;
   if (use_class(inst, cfg.scan_threshold) == streaming_class) {
     key = scan_base - inst.last_use;
-    if (young(cfg, inst, st.use_counter)) {
+    if (young(cfg, inst, clock)) {
       key += scan_base / 2;
     }
   } else {
     key = inst.last_use + scan_base;
   }
-  if (inst.state == msi_state::modified) {
+  if (sole_copy(d, inst)) {
     key += cfg.dirty_penalty;
   }
   if (cfg.pending_penalty != 0 && has_pending_events(inst)) {
@@ -436,7 +460,7 @@ mem_engine::victim_choice mem_engine::pick_victim(const context_state& st,
   if (cfg.lookahead) {
     // Young streaming instances are a suffix of the streaming list.
     data_instance* old_end = streaming.tail;
-    while (old_end != nullptr && young(cfg, *old_end, st.use_counter)) {
+    while (old_end != nullptr && young(cfg, *old_end, dm.clock)) {
       old_end = old_end->lru_prev;
     }
     cur[n++] = {old_end, nullptr, scan_base, true};
@@ -464,8 +488,8 @@ mem_engine::victim_choice mem_engine::pick_victim(const context_state& st,
     if (!evictable(inst)) {
       continue;
     }
-    const std::uint64_t key =
-        victim_key(st, cfg, *dm.resident[inst.resident_pos].data, inst);
+    const std::uint64_t key = victim_key(
+        st, cfg, *dm.resident[inst.resident_pos].data, inst, dm.clock);
     if (better(key, inst, best_key, best)) {
       best_key = key;
       best = &inst;
@@ -491,7 +515,7 @@ mem_engine::victim_choice mem_engine::pick_victim(const context_state& st,
   if (best == nullptr) {
     return {};
   }
-  return {dm.resident[best->resident_pos], lru};
+  return {dm.resident[best->resident_pos], dm.resident[lru->resident_pos]};
 }
 
 bool context_state::evict_for(int device, std::size_t bytes_needed) {
@@ -504,28 +528,26 @@ bool context_state::evict_for(int device, std::size_t bytes_needed) {
     if (choice.best.inst == nullptr) {
       break;
     }
-    if (mem.cfg.lookahead && choice.best.inst->state != msi_state::modified &&
-        choice.lru != choice.best.inst && choice.lru != nullptr &&
-        choice.lru->state == msi_state::modified) {
-      ++bs.writebacks_avoided;  // pure LRU would have paid a write-back here
-    }
     logical_data_impl& d = *choice.best.data;
     data_instance& victim = *choice.best.inst;
-    // Trust boundary (integrity engine, DESIGN.md §10): a modified victim
-    // is about to become the data's only copy via write-back — never
-    // persist corrupt bytes. A corrupt victim with a verified sharer is
-    // simply dropped (repair); a sole corrupt copy escalates (the
-    // corruption_error propagates to the submission engine through
-    // alloc_with_eviction).
-    if (integ != nullptr && victim.state == msi_state::modified)
-        [[unlikely]] {
+    if (mem.cfg.lookahead && choice.lru.inst != &victim &&
+        !sole_copy(d, victim) &&
+        sole_copy(*choice.lru.data, *choice.lru.inst)) {
+      ++bs.writebacks_avoided;  // pure LRU would have paid a write-back here
+    }
+    // Trust boundary (integrity engine, DESIGN.md §10): a sole-copy victim
+    // is about to be persisted by its staging copy — never persist corrupt
+    // bytes. A corrupt victim with a verified sharer is simply dropped
+    // (repair); a sole corrupt copy escalates (the corruption_error
+    // propagates to the submission engine through alloc_with_eviction).
+    if (integ != nullptr && sole_copy(d, victim)) [[unlikely]] {
       if (!integ->verify_instance(*this, d, victim, "eviction_writeback") &&
           !integ->handle_corruption(*this, d, victim,
                                     "eviction_writeback")) {
         detail::throw_corruption(*this, d, device, "eviction_writeback");
       }
     }
-    if (victim.state == msi_state::modified) {
+    if (sole_copy(d, victim)) {
       // Only valid copy: stage it somewhere safe first. The planner
       // prefers a healthy peer device with pool headroom (one p2p hop);
       // otherwise fall back to the host round-trip.

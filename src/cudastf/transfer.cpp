@@ -510,7 +510,13 @@ bool stage_eviction_to_peer(context_state& st, logical_data_impl& d,
     return false;
   }
   peer.state = msi_state::modified;  // the victim copy is about to vanish
-  peer.last_use = victim.last_use;   // keep the data's LRU age, not refresh it
+  // Keep the data's age and reuse interval, not refresh them: each device
+  // has its own use clock, so both move over as distances from the clock.
+  const std::uint64_t age = st.mem.clock(from_device) - victim.last_use;
+  const std::uint64_t gap = victim.last_use - victim.prev_use;
+  const std::uint64_t now = st.mem.clock(best);
+  peer.last_use = now > age ? now - age : 0;
+  peer.prev_use = peer.last_use > gap ? peer.last_use - gap : 0;
   st.mem.on_use(peer);
   return true;
 }

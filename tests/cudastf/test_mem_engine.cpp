@@ -249,9 +249,10 @@ TEST(MemEngine, RegistryStaysBoundedWithoutFence) {
 // --- victim-order invariance -------------------------------------------
 //
 // Which instance evict_for picks decides every later routing decision and
-// the virtual clock. The values below were recorded with the original
-// victim choice (a full scan of the device's resident instances per
-// victim); any cheaper selection must reproduce them exactly.
+// the virtual clock. The values below were recorded with per-device use
+// clocks and sole-copy staging; the ordered walk picks what a full scan of
+// the device's resident instances would (VictimWalk below), and any
+// cheaper selection must reproduce them exactly.
 
 // FNV-1a over every planned transfer, in planning order.
 std::uint64_t trace_hash(const std::vector<transfer_record>& trace) {
@@ -359,37 +360,37 @@ TEST(VictimOrderInvariance, ConfigMatrix) {
     victim_outcome expect;
   } table[] = {
       {{true, 768, 192, default_dirty},
-       {2532, 1093, 11, 0xdf1061d5713372f1ull, 0x1.d7bba87191afdp-6}},
+       {1334, 812, 793, 0x310250aacacfb688ull, 0x1.40c6f05fa2bf3p-7}},
       {{true, 768, 192, big_dirty},
-       {992, 992, 334, 0x2e9e61b759e4703aull, 0x1.27d5d3040ad28p-7}},
+       {1010, 1010, 1005, 0x8f89cdc8a249e223ull, 0x1.512bad33071fp-7}},
       {{true, 768, 0, default_dirty},
-       {2806, 1572, 31, 0x5291b102805ceacaull, 0x1.45d4db360521dp-5}},
+       {1622, 1322, 1302, 0x9d4907d9bdb1eff0ull, 0x1.57dc953df91f5p-7}},
       {{true, 768, 0, big_dirty},
-       {1552, 1552, 516, 0x1a4ab811cb6f2490ull, 0x1.26e3afb4ef184p-7}},
+       {1472, 1472, 1467, 0x84173aed91745ec0ull, 0x1.4f73f72339318p-7}},
       {{true, 0, 192, default_dirty},
-       {1522, 1017, 159, 0xf9b05a9914ff5cb3ull, 0x1.04033b066a374p-6}},
+       {1324, 794, 772, 0x1d48b8d00a830b03ull, 0x1.48e6f39c4994ap-7}},
       {{true, 0, 192, big_dirty},
-       {1010, 1010, 367, 0x7abe6eae188e9c33ull, 0x1.24174cfebeed4p-7}},
+       {1010, 1010, 1005, 0xfe37ef2c2783a1a1ull, 0x1.5059b2f35125cp-7}},
       {{true, 0, 0, default_dirty},
-       {1522, 1017, 159, 0xf9b05a9914ff5cb3ull, 0x1.04033b066a374p-6}},
+       {1324, 794, 772, 0x1d48b8d00a830b03ull, 0x1.48e6f39c4994ap-7}},
       {{true, 0, 0, big_dirty},
-       {1010, 1010, 367, 0x7abe6eae188e9c33ull, 0x1.24174cfebeed4p-7}},
+       {1010, 1010, 1005, 0xfe37ef2c2783a1a1ull, 0x1.5059b2f35125cp-7}},
       {{false, 768, 192, default_dirty},
-       {1642, 1024, 0, 0x8f269dac7352ef08ull, 0x1.28837df088c4fp-6}},
+       {1814, 778, 0, 0x6463f5f96558e748ull, 0x1.4b96beefc02e6p-6}},
       {{false, 768, 192, big_dirty},
-       {1642, 1024, 0, 0x8f269dac7352ef08ull, 0x1.28837df088c4fp-6}},
+       {1814, 778, 0, 0x6463f5f96558e748ull, 0x1.4b96beefc02e6p-6}},
       {{false, 768, 0, default_dirty},
-       {1642, 1024, 0, 0x8f269dac7352ef08ull, 0x1.28837df088c4fp-6}},
+       {1814, 778, 0, 0x6463f5f96558e748ull, 0x1.4b96beefc02e6p-6}},
       {{false, 768, 0, big_dirty},
-       {1642, 1024, 0, 0x8f269dac7352ef08ull, 0x1.28837df088c4fp-6}},
+       {1814, 778, 0, 0x6463f5f96558e748ull, 0x1.4b96beefc02e6p-6}},
       {{false, 0, 192, default_dirty},
-       {1642, 1024, 0, 0x8f269dac7352ef08ull, 0x1.28837df088c4fp-6}},
+       {1814, 778, 0, 0x6463f5f96558e748ull, 0x1.4b96beefc02e6p-6}},
       {{false, 0, 192, big_dirty},
-       {1642, 1024, 0, 0x8f269dac7352ef08ull, 0x1.28837df088c4fp-6}},
+       {1814, 778, 0, 0x6463f5f96558e748ull, 0x1.4b96beefc02e6p-6}},
       {{false, 0, 0, default_dirty},
-       {1642, 1024, 0, 0x8f269dac7352ef08ull, 0x1.28837df088c4fp-6}},
+       {1814, 778, 0, 0x6463f5f96558e748ull, 0x1.4b96beefc02e6p-6}},
       {{false, 0, 0, big_dirty},
-       {1642, 1024, 0, 0x8f269dac7352ef08ull, 0x1.28837df088c4fp-6}},
+       {1814, 778, 0, 0x6463f5f96558e748ull, 0x1.4b96beefc02e6p-6}},
   };
   for (const auto& row : table) {
     const victim_cell& c = row.cell;
@@ -406,8 +407,8 @@ TEST(VictimOrderInvariance, ConfigMatrix) {
 TEST(VictimOrderInvariance, ScanThresholdChangedBetweenFences) {
   const victim_cell first{true, 768, 192, default_dirty};
   const victim_cell second{true, 96, 192, default_dirty};
-  const victim_outcome expect{4238, 2148, 11, 0xe0a0cd87fac6eb80ull,
-                              0x1.668c115255de4p-5};
+  const victim_outcome expect{3916, 1662, 1563, 0x9a674160a774c998ull,
+                              0x1.3e6a784d47519p-5};
   EXPECT_EQ(run_victim_cholesky(first, &second), expect);
 }
 
@@ -417,14 +418,28 @@ bool evictable(const data_instance& inst) {
   return !inst.pinned && !inst.user_owned && inst.allocated;
 }
 
+// Dropping the instance would lose the data: modified, or the only valid
+// instance.
+bool sole_copy(const logical_data_impl& d, const data_instance& inst) {
+  if (inst.state == msi_state::invalid) {
+    return false;
+  }
+  std::size_t valid = 0;
+  for (const auto& other : d.instances()) {
+    valid += other->state != msi_state::invalid ? 1 : 0;
+  }
+  return inst.state == msi_state::modified || valid == 1;
+}
+
 bool streaming(const mem_config& cfg, const data_instance& inst) {
   return cfg.scan_threshold != 0 &&
          inst.last_use - inst.prev_use > cfg.scan_threshold;
 }
 
-// The victim key exactly as the full scan computed it.
+// The victim key exactly as a full scan of device 0 computes it.
 std::uint64_t reference_key(const context_state& st,
-                            const data_instance& inst) {
+                            const mem_engine::resident_ref& r) {
+  const data_instance& inst = *r.inst;
   const mem_config& cfg = st.mem.cfg;
   if (!cfg.lookahead) {
     return inst.last_use;
@@ -434,13 +449,13 @@ std::uint64_t reference_key(const context_state& st,
   if (streaming(cfg, inst)) {
     key = scan_base - inst.last_use;
     if (cfg.scan_guard != 0 &&
-        inst.last_use + cfg.scan_guard > st.use_counter) {
+        inst.last_use + cfg.scan_guard > st.mem.clock(0)) {
       key += scan_base / 2;
     }
   } else {
     key = inst.last_use + scan_base;
   }
-  if (inst.state == msi_state::modified) {
+  if (sole_copy(*r.data, inst)) {
     key += cfg.dirty_penalty;
   }
   bool pending = false;
@@ -468,9 +483,9 @@ mem_engine::victim_choice reference_scan(context_state& st, int device) {
     }
     if (r.inst->last_use < lru_key) {
       lru_key = r.inst->last_use;
-      out.lru = r.inst;
+      out.lru = r;
     }
-    const std::uint64_t key = reference_key(st, *r.inst);
+    const std::uint64_t key = reference_key(st, r);
     if (key < best_key) {
       best_key = key;
       out.best = r;
@@ -521,7 +536,7 @@ struct walk_fixture {
     ASSERT_NE(want.best.inst, nullptr) << what;
     EXPECT_EQ(got.best.inst, want.best.inst) << what;
     EXPECT_EQ(got.best.data, want.best.data) << what;
-    EXPECT_EQ(got.lru, want.lru) << what;
+    EXPECT_EQ(got.lru.inst, want.lru.inst) << what;
   }
 };
 
@@ -554,7 +569,6 @@ TEST(VictimWalk, TiesGoToLowerIndexPosition) {
   cfg.scan_guard = 0;
   cfg.pending_penalty = 0;
   cfg.dirty_penalty = 110;
-  f.st().use_counter = 1000;
   for (std::size_t i = 0; i < f.data.size(); ++i) {
     data_instance& x = f.inst(i);
     x.state = msi_state::shared;
@@ -587,18 +601,24 @@ TEST(VictimWalk, TiesGoToLowerIndexPosition) {
 
 // Random resident populations, use histories, pins, states and engine
 // settings — including crafted cross-class full-key ties, duplicate and
-// zero last_use values, threshold changes (list rebuilds), instances
-// arriving and leaving, and prefetch-back refills between choices.
+// zero last_use values, sole shared copies, threshold changes (list
+// rebuilds), instances arriving and leaving, and prefetch-back refills
+// between choices. Use values are drawn below device 0's clock, which a
+// head start keeps above every draw.
 TEST(VictimWalk, MatchesFullScanRandomized) {
   walk_fixture f;
   for (int i = 0; i < 48; ++i) {
     f.add();
+  }
+  for (int i = 0; i < 1024; ++i) {
+    f.st().mem.tick(0);
   }
   std::mt19937_64 rng(20241117);
   auto pick = [&rng](std::uint64_t n) { return rng() % n; };
   mem_config& cfg = f.ctx.memory_options();
   std::size_t ties = 0;
   std::size_t cross_class_ties = 0;
+  std::size_t sole_shared = 0;  // rounds with an evictable sole shared copy
   for (int round = 0; round < 5000; ++round) {
     SCOPED_TRACE(round);
     if (pick(4) == 0) {
@@ -614,18 +634,31 @@ TEST(VictimWalk, MatchesFullScanRandomized) {
       f.sp.get().synchronize();  // retire pending events
     }
     const std::uint64_t span = 1 + pick(200);
+    // The clock reads pick(span + 64) ticks past `origin`; a drawn use v
+    // is tick origin + v, and 0 stays 0 (never used).
+    const std::uint64_t origin = f.st().mem.clock(0) - pick(span + 64);
+    auto at = [origin](std::uint64_t v) { return v == 0 ? 0 : origin + v; };
     for (std::size_t i = 0; i < f.data.size(); ++i) {
       data_instance& x = f.inst(i);
       if (pick(3) != 0) {
         continue;  // keep some history across rounds
       }
-      x.last_use = pick(4) == 0 ? 0 : pick(span);
-      x.prev_use = pick(span);  // may exceed last_use: interval wraps
+      x.last_use = pick(4) == 0 ? 0 : at(pick(span));
+      x.prev_use = at(pick(span));  // may exceed last_use: interval wraps
       x.pinned = pick(10) == 0;
       x.state = pick(2) == 0 ? msi_state::modified : msi_state::shared;
       f.st().mem.on_use(x);
     }
-    f.st().use_counter = pick(span + 64);
+    // Invalidate some host copies for this round: a shared device copy
+    // is then the sole one.
+    std::vector<std::pair<data_instance*, msi_state>> hosts;
+    for (std::size_t i = 0; i < f.data.size(); ++i) {
+      if (pick(4) == 0) {
+        data_instance& h = f.data[i].impl()->instance_at(data_place::host());
+        hosts.emplace_back(&h, h.state);
+        h.state = msi_state::invalid;
+      }
+    }
     cfg.lookahead = pick(5) != 0;
     if (pick(8) == 0) {
       cfg.scan_threshold = pick(3) == 0 ? 0 : pick(span);
@@ -633,24 +666,25 @@ TEST(VictimWalk, MatchesFullScanRandomized) {
     cfg.scan_guard = pick(3) == 0 ? 0 : pick(span);
     cfg.pending_penalty = pick(2) == 0 ? 0 : pick(64);
     // Dirty penalty that makes a dirty streaming instance a and a clean
-    // hot instance b tie exactly: base - a + p == base + b.
+    // hot instance b tie exactly: base - a + p == base + b. Streaming and
+    // hot keys sit 2 * origin apart, so a random penalty spans that gap.
     const data_instance& a = f.inst(pick(f.data.size()));
     const data_instance& b = f.inst(pick(f.data.size()));
-    cfg.dirty_penalty =
-        pick(2) == 0 ? a.last_use + b.last_use : pick(2 * span);
+    cfg.dirty_penalty = pick(2) == 0 ? a.last_use + b.last_use
+                                     : 2 * origin + pick(2 * span);
     const mem_engine::victim_choice want = reference_scan(f.st(), 0);
     const mem_engine::victim_choice got = f.st().mem.pick_victim(f.st(), 0);
     ASSERT_EQ(got.best.inst, want.best.inst);
     ASSERT_EQ(got.best.data, want.best.data);
-    ASSERT_EQ(got.lru, want.lru);
+    ASSERT_EQ(got.lru.inst, want.lru.inst);
     // Count choices an exact full-key tie decided, to show they happen.
     if (want.best.inst != nullptr) {
-      const std::uint64_t best_key = reference_key(f.st(), *want.best.inst);
+      const std::uint64_t best_key = reference_key(f.st(), want.best);
       bool tie = false;
       bool cross = false;
       for (const mem_engine::resident_ref& r : *f.st().mem.resident(0)) {
         if (r.inst != want.best.inst && evictable(*r.inst) &&
-            reference_key(f.st(), *r.inst) == best_key) {
+            reference_key(f.st(), r) == best_key) {
           tie = true;
           cross = cross || streaming(cfg, *r.inst) !=
                                streaming(cfg, *want.best.inst);
@@ -659,9 +693,20 @@ TEST(VictimWalk, MatchesFullScanRandomized) {
       ties += tie;
       cross_class_ties += cross;
     }
+    for (const mem_engine::resident_ref& r : *f.st().mem.resident(0)) {
+      if (evictable(*r.inst) && r.inst->state == msi_state::shared &&
+          sole_copy(*r.data, *r.inst)) {
+        ++sole_shared;
+        break;
+      }
+    }
+    for (const auto& [h, state] : hosts) {
+      h->state = state;
+    }
   }
   EXPECT_GT(ties, 1000u);
   EXPECT_GT(cross_class_ties, 100u);
+  EXPECT_GT(sole_shared, 1000u);
   EXPECT_GT(f.ctx.stats().prefetch_refills, 1000u);
   EXPECT_TRUE(f.ctx.finalize().ok());
 }

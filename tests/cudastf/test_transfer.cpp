@@ -485,13 +485,14 @@ ooc_outcome run_ooc_cholesky(bool graph) {
   return o;
 }
 
-// Pinned values of the planner as first shipped (flat outbound-copy scan):
-// the occupancy bookkeeping may get cheaper, but never route differently.
-constexpr std::uint64_t ooc_trace_hash = 0x4029118a543bf70aull;
-constexpr std::size_t ooc_transfers = 644;
-constexpr std::uint64_t ooc_evictions = 382;
-constexpr std::uint64_t ooc_broadcast_fanout = 78;
-constexpr std::uint64_t ooc_p2p_bytes = 807403520;
+// Pinned routing of this factorization, recorded with per-device use
+// clocks and sole-copy staging in the victim policy: the planner's
+// bookkeeping may get cheaper, but never route differently.
+constexpr std::uint64_t ooc_trace_hash = 0xf324f88e47fdc962ull;
+constexpr std::size_t ooc_transfers = 672;
+constexpr std::uint64_t ooc_evictions = 378;
+constexpr std::uint64_t ooc_broadcast_fanout = 151;
+constexpr std::uint64_t ooc_p2p_bytes = 838860800;
 
 void expect_pinned_routing(const ooc_outcome& o) {
   EXPECT_EQ(o.hash, ooc_trace_hash);
@@ -504,7 +505,7 @@ void expect_pinned_routing(const ooc_outcome& o) {
 TEST(TransferInvariance, OutOfCoreCholeskyStreamBackend) {
   const ooc_outcome o = run_ooc_cholesky(/*graph=*/false);
   expect_pinned_routing(o);
-  EXPECT_EQ(o.now, 0x1.9875754c2bc37p-7);
+  EXPECT_EQ(o.now, 0x1.770be509e59e9p-7);
 }
 
 // Same decisions on the graph backend, whose node events never report
@@ -512,7 +513,7 @@ TEST(TransferInvariance, OutOfCoreCholeskyStreamBackend) {
 TEST(TransferInvariance, OutOfCoreCholeskyGraphBackend) {
   const ooc_outcome o = run_ooc_cholesky(/*graph=*/true);
   expect_pinned_routing(o);
-  EXPECT_EQ(o.now, 0x1.e4071b20df21ap-6);
+  EXPECT_EQ(o.now, 0x1.f0ad8e0508eacp-6);
 }
 
 // Occupancy must drain: once synchronize() has retired every copy, an
