@@ -12,11 +12,11 @@
 # the simulator's stream/event suite (intrusive event registry).
 #
 # --tsan additionally builds a ThreadSanitizer tree (build-tsan) and runs
-# the parallel-submission, concurrency, fast-path, fault-injection,
-# transfer, memory-engine, eviction and simulator stream/event tests under
-# it — multi-threaded submission under the context mutex (DESIGN.md §11)
-# and event registration under the registry mutex are where data races
-# would hide.
+# the context-lock, parallel-submission, concurrency, fast-path,
+# fault-injection, transfer, memory-engine, eviction and simulator
+# stream/event tests under it — multi-threaded submission under the context
+# lock (DESIGN.md §11) and event registration under the registry mutex are
+# where data races would hide.
 #
 # --bench-smoke additionally runs every --json benchmark once and diffs the
 # set of JSON record keys against the checked-in BENCH_*.json baselines —
@@ -200,9 +200,13 @@ if [[ "$tsan" == 1 ]]; then
   tsan_build="$repo/build-tsan"
   cmake -S "$repo" -B "$tsan_build" -DREPRO_TSAN=ON
   cmake --build "$tsan_build" -j "$jobs" \
-    --target test_parallel_submit test_concurrency_api test_fastpath \
-             test_fault_injection test_deadline test_submit_pipeline \
-             test_transfer test_mem_engine test_eviction test_cudasim_stream
+    --target test_context_lock test_parallel_submit test_concurrency_api \
+             test_fastpath test_fault_injection test_deadline \
+             test_submit_pipeline test_transfer test_mem_engine test_eviction \
+             test_cudasim_stream
+  # The context lock itself: recursion, mutual exclusion with its
+  # happens-before edge, release on a throw, and waiters behind a holder.
+  TSAN_OPTIONS=halt_on_error=1 "$tsan_build/tests/test_context_lock"
   TSAN_OPTIONS=halt_on_error=1 "$tsan_build/tests/test_parallel_submit"
   # Raw std::thread submission into one context: the path every
   # multi-threaded submission takes.
@@ -215,7 +219,7 @@ if [[ "$tsan" == 1 ]]; then
   # detach — where a race between emission and submission would hide.
   TSAN_OPTIONS=halt_on_error=1 "$tsan_build/tests/test_submit_pipeline"
   # The planner reads the DES completion counter unlocked, relying on the
-  # context mutex that every drain runs under (DESIGN.md §6, §11).
+  # context lock that every drain runs under (DESIGN.md §6, §11).
   TSAN_OPTIONS=halt_on_error=1 "$tsan_build/tests/test_transfer"
   # The victim lists link instances through raw pointers that every
   # submitting thread's acquire moves; all of it runs under the context

@@ -7,7 +7,7 @@
 // recycled node yields `false`, never a false `true`, and the result is
 // monotonic (once true, always true). Concurrent submissions to the *same*
 // stream must be serialized externally (the STF layer submits under its
-// context mutex); different streams need no coordination.
+// context lock); different streams need no coordination.
 #pragma once
 
 #include <atomic>

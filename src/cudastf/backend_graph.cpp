@@ -1,6 +1,6 @@
 // Graph backend. Threading contract (DESIGN.md §11): stream capture funnels
 // every op through one graph under construction, so there is one capturer
-// at a time — every call arrives under the context mutex, nothing here
+// at a time — every call arrives under the context lock, nothing here
 // needs its own locking, and the plain stats_ counters stay data-race free.
 #include <cstdint>
 #include <stdexcept>

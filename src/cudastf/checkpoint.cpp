@@ -24,7 +24,7 @@
 // mid-flight).
 //
 // Threading contract (DESIGN.md §11): this engine always runs under the
-// context mutex. Deterministic-order parallel_submit preserves the single-thread epoch
+// context lock. Deterministic-order parallel_submit preserves the single-thread epoch
 // numbering, which is what makes replay-after-restart bit-identical.
 #include <cstring>
 #include <new>

@@ -1,8 +1,31 @@
 #include "cudastf/context.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace cudastf {
+
+namespace {
+
+/// Longest run of yields between two tests of the owner word
+/// (EXPERIMENTS.md, "Handoff-free context lock": the cap sweep).
+constexpr unsigned max_yield_run = 256;
+
+}  // namespace
+
+void context_lock::wait(std::thread::id me) {
+  for (unsigned run = 1;; run = std::min(2 * run, max_yield_run)) {
+    for (unsigned i = 0; i < run; ++i) {
+      std::this_thread::yield();
+    }
+    std::thread::id none;
+    if (owner_.load(std::memory_order_relaxed) == none &&
+        owner_.compare_exchange_weak(none, me, std::memory_order_acquire,
+                                     std::memory_order_relaxed)) {
+      return;
+    }
+  }
+}
 
 namespace detail {
 
@@ -185,7 +208,7 @@ void context_state::order_record(std::string_view symbol,
 }
 
 error_report context::finalize() {
-  std::unique_lock lock(st_->mu);
+  std::lock_guard lock(st_->mu);
   if (st_->dl != nullptr) [[unlikely]] {
     // Drain deadline (DESIGN.md §12): resolve tracked submissions — cancel,
     // retry, quarantine or restart wedged ones — before write-backs are

@@ -294,8 +294,8 @@ void context_state::blacklist_device(int device) {
       // A corrupt sole copy on a dead device is unrepairable: record the
       // corruption and skip the evacuation (the instance is torn down
       // below like any other dead replica).
-      if (integ != nullptr && inst->state == msi_state::modified &&
-          d->poisoned_by == 0) [[unlikely]] {
+      const bool sole = sole_copy(*d, *inst);
+      if (integ != nullptr && sole && d->poisoned_by == 0) [[unlikely]] {
         if (!integ->verify_instance(*this, *d, *inst, "evacuation") &&
             !integ->handle_corruption(*this, *d, *inst, "evacuation")) {
           d->poisoned_by = record_failure(
@@ -309,9 +309,10 @@ void context_state::blacklist_device(int device) {
           }
         }
       }
-      if (inst->state == msi_state::modified && d->poisoned_by == 0) {
-        // Only valid copy lives (partly) on the dead device: stage it to
-        // host now. If even the evacuation fails, the data is lost.
+      if (sole && d->poisoned_by == 0) {
+        // Only valid copy (modified, or the last shared replica) lives
+        // (partly) on the dead device: stage it to host now. If even the
+        // evacuation fails, the data is lost.
         try {
           data_instance& host = d->instance_at(data_place::host());
           if (!host.allocated) {

@@ -184,7 +184,7 @@ class backend_iface {
   /// down immediately, least recently launched first). Default: ignore.
   virtual void set_exec_cache_capacity(std::size_t) {}
 
-  /// Counter snapshot. Every counter increments under the context mutex;
+  /// Counter snapshot. Every counter increments under the context lock;
   /// read while quiescent (tests read stats after joining workers).
   const backend_stats& stats() const { return stats_; }
   backend_stats& mutable_stats() { return stats_; }

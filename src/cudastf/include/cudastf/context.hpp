@@ -141,8 +141,10 @@ class context {
 
   /// Runs `fn(item)` for every item in [0, n_items) from `n_threads` host
   /// threads (item i handled by thread i % n_threads). Every STF call takes
-  /// the context mutex, so any of them is safe from the workers; the
-  /// simulator and the pipeline run one submission at a time.
+  /// the context lock, so any of them is safe from the workers; the
+  /// simulator and the pipeline run one submission at a time. The lock
+  /// hands nothing off: a worker keeps submitting while the others back
+  /// off, so items retire in runs per worker rather than interleaved.
   ///
   /// Under set_deterministic_order(true), workers hand off through a ticket
   /// turnstile so submissions retire in exact item order — the resulting

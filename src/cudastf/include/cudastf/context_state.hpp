@@ -3,11 +3,12 @@
 // backend to talk to (§IV-D).
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -27,6 +28,45 @@ class logical_data_impl;
 class submit_observer;
 class dot_exporter;
 
+/// The context lock (DESIGN.md §11): recursive, and handoff-free. A waiter
+/// backs off in user space, so unlock() is a release store that never
+/// wakes anyone: the releasing thread may take the lock again at once, and
+/// the submission pipeline's working set stays in one core's cache. Not
+/// fair — a waiter may see the holder re-take the lock many times before
+/// it gets a turn.
+class context_lock {
+ public:
+  void lock() {
+    const std::thread::id me = std::this_thread::get_id();
+    if (owner_.load(std::memory_order_relaxed) == me) {
+      ++depth_;
+      return;
+    }
+    std::thread::id none;
+    if (!owner_.compare_exchange_strong(none, me, std::memory_order_acquire,
+                                        std::memory_order_relaxed))
+        [[unlikely]] {
+      wait(me);
+    }
+    depth_ = 1;
+  }
+
+  void unlock() {
+    if (--depth_ == 0) {
+      owner_.store(std::thread::id(), std::memory_order_release);
+    }
+  }
+
+ private:
+  /// Contended path: re-tests the owner word after runs of yields that
+  /// double up to a fixed cap, then takes the lock with one CAS.
+  void wait(std::thread::id me);
+
+  std::atomic<std::thread::id> owner_{};
+  static_assert(std::atomic<std::thread::id>::is_always_lock_free);
+  unsigned depth_ = 0;  ///< touched by the owner only
+};
+
 struct context_state {
   context_state() = default;
   /// Trims cached device blocks back to the platform (mem_engine.hpp) so a
@@ -36,12 +76,12 @@ struct context_state {
   cudasim::platform* plat = nullptr;
   std::unique_ptr<backend_iface> backend;
 
-  /// The context mutex (DESIGN.md §11): every submission, from any thread,
+  /// The context lock (DESIGN.md §11): every submission, from any thread,
   /// and every structural operation — fence, finalize, registration,
   /// destruction, engine configuration — runs under it, so multiple CPU
   /// threads may inject tasks concurrently (§VII-E). Recursive because
   /// structural operations nest (finalize -> restart -> replay -> task).
-  std::recursive_mutex mu;
+  context_lock mu;
 
   /// Deterministic-order mode (ctx.set_deterministic_order()): worker
   /// threads in parallel_submit() hand off through a ticket turnstile so

@@ -247,4 +247,11 @@ void* alloc_host_staging(context_state& st, std::size_t bytes);
 void release_device_instance(context_state& st, logical_data_impl& d,
                              data_instance& inst, bool recycle);
 
+/// Dropping `inst` would lose the data's contents: it is modified, or it
+/// is valid and no other instance is. After a peer read the producer's
+/// copy is shared and the host copy invalid, so two shared replicas can be
+/// all that is left; the last of them must be staged (eviction) or
+/// evacuated (blacklisting), not dropped.
+bool sole_copy(const logical_data_impl& d, const data_instance& inst);
+
 }  // namespace cudastf

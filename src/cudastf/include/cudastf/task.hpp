@@ -82,7 +82,7 @@ class [[nodiscard]] task_builder {
           "cudastf: use ctx.host_launch() for host-side tasks");
     }
     // Every submission, from any thread, runs the one pipeline path under
-    // the context mutex (DESIGN.md §11).
+    // the context lock (DESIGN.md §11).
     std::lock_guard lock(st_->mu);
     const auto untyped = detail::untyped_deps(deps_);
     op_desc op;

@@ -4,7 +4,7 @@
 //
 // Threading contract (DESIGN.md §11): allocation and eviction mutate
 // instances of arbitrary logical data; this engine only ever runs under the
-// context mutex.
+// context lock.
 #include "cudastf/mem_engine.hpp"
 
 #include <algorithm>
@@ -191,8 +191,18 @@ void mem_engine::order(device_mem& dm) {
 void mem_engine::link(device_mem& dm, data_instance& inst) {
   inst.lru_class = use_class(inst, dm.ordered_threshold);
   lru_list& l = dm.lists[inst.lru_class - 1];
-  // Walk back from the tail: an acquire's fresh last_use lands there.
+  // Insert after the last node whose last_use is not larger, walking from
+  // the end nearer in last_use: an acquire's fresh last_use lands at the
+  // tail, a staged peer's or a refill's stale one near the head.
   data_instance* after = l.tail;
+  if (after != nullptr &&
+      2 * inst.last_use < l.head->last_use + after->last_use) {
+    data_instance* before = l.head;
+    while (before->last_use <= inst.last_use) {
+      before = before->lru_next;  // stops at the tail: it is larger
+    }
+    after = before->lru_prev;
+  }
   while (after != nullptr && after->last_use > inst.last_use) {
     after = after->lru_prev;
   }
@@ -335,6 +345,18 @@ void release_device_instance(context_state& st, logical_data_impl& d,
   reset_fill_tracking(inst);
 }
 
+bool sole_copy(const logical_data_impl& d, const data_instance& inst) {
+  if (inst.state != msi_state::shared) {
+    return inst.state == msi_state::modified;
+  }
+  for (const auto& other : d.instances()) {
+    if (other.get() != &inst && other->state != msi_state::invalid) {
+      return false;
+    }
+  }
+  return true;
+}
+
 namespace {
 
 /// Any reader/writer event of `inst` not yet retired in virtual time — the
@@ -355,22 +377,6 @@ bool has_pending_events(const data_instance& inst) {
 
 bool evictable(const data_instance& inst) {
   return !inst.pinned && !inst.user_owned && inst.allocated;
-}
-
-/// Dropping `inst` would lose the data's contents: it is modified, or it
-/// is valid and no other instance is. After a peer read the producer's
-/// copy is shared and the host copy invalid, so two shared replicas can be
-/// all that is left; the last of them must be staged, not dropped.
-bool sole_copy(const logical_data_impl& d, const data_instance& inst) {
-  if (inst.state != msi_state::shared) {
-    return inst.state == msi_state::modified;
-  }
-  for (const auto& other : d.instances()) {
-    if (other.get() != &inst && other->state != msi_state::invalid) {
-      return false;
-    }
-  }
-  return true;
 }
 
 // Scan resistance: streaming instances (reuse interval beyond the

@@ -83,7 +83,7 @@ bool fill_in_flight(const logical_data_impl& d, const data_instance& inst) {
 /// and its size is exact. Completion is monotonic, so pruning one bucket at
 /// a time yields the same count a scan of every outbound copy would. The
 /// counter is published after each `done` flag and read with acquire, so
-/// the read takes no lock; the caller holds the context mutex, and every
+/// the read takes no lock; the caller holds the context lock, and every
 /// drain an STF call triggers runs under it too (DESIGN.md §11).
 std::size_t outstanding_from(context_state& st, int device) {
   const std::size_t slot = static_cast<std::size_t>(device + 1);

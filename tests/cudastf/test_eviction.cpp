@@ -375,6 +375,46 @@ TEST(PerDeviceClock, PeerStagingCarriesAgeAndInterval) {
   EXPECT_DOUBLE_EQ(hx[0], 1.0);
 }
 
+// Blacklisting evacuates the last valid copy of a datum, shared or
+// modified: after a peer read and a clean drop of the reader's replica,
+// the producer's shared copy is all that is left.
+TEST(LastValidCopy, BlacklistEvacuatesSoleSharedCopy) {
+  constexpr std::size_t elems = (1u << 20) / sizeof(double);
+  cudasim::scoped_platform sp(2, small_pool_desc(3u << 19));
+  cudasim::platform& p = sp.get();
+  context ctx(p);
+  std::vector<double> hx(elems, 0.0), hy(elems, 0.0);
+  auto lx = ctx.logical_data(hx.data(), elems, "x");
+  auto ly = ctx.logical_data(hy.data(), elems, "y");
+  ctx.task(exec_place::device(0), lx.rw())
+          ->*[&p](cudasim::stream& s, slice<double> v) {
+                p.launch_kernel(s, {.name = "fill"}, [=] {
+                  for (std::size_t i = 0; i < v.size(); ++i) {
+                    v(i) = 0.25 * double(i) + 1.0;
+                  }
+                });
+              };
+  ctx.task(exec_place::device(1), lx.read())
+          ->*[](cudasim::stream&, slice<const double>) {};
+  // y does not fit next to x's replica on device 1: the replica is not the
+  // only valid copy, so it is dropped clean.
+  ctx.task(exec_place::device(1), ly.write())
+          ->*[](cudasim::stream&, slice<double>) {};
+  logical_data_impl& d = *lx.impl();
+  EXPECT_EQ(ctx.stats().clean_drops, 1u);
+  EXPECT_EQ(d.instance_at(data_place::device(1)).state, msi_state::invalid);
+  EXPECT_EQ(d.instance_at(data_place::host()).state, msi_state::invalid);
+  ASSERT_EQ(d.instance_at(data_place::device(0)).state, msi_state::shared);
+
+  ctx.blacklist_device(0);
+  const error_report rep = ctx.finalize();
+  EXPECT_TRUE(rep.ok()) << rep.to_string();
+  EXPECT_EQ(rep.devices_blacklisted, 1u);
+  for (std::size_t i = 0; i < elems; ++i) {
+    ASSERT_EQ(hx[i], 0.25 * double(i) + 1.0) << i;
+  }
+}
+
 // --- a datum with no valid copy ------------------------------------------
 
 // Write-back at destruction that finds no valid instance records the loss

@@ -420,7 +420,8 @@ bool evictable(const data_instance& inst) {
 
 // Dropping the instance would lose the data: modified, or the only valid
 // instance.
-bool sole_copy(const logical_data_impl& d, const data_instance& inst) {
+bool reference_sole_copy(const logical_data_impl& d,
+                         const data_instance& inst) {
   if (inst.state == msi_state::invalid) {
     return false;
   }
@@ -455,7 +456,7 @@ std::uint64_t reference_key(const context_state& st,
   } else {
     key = inst.last_use + scan_base;
   }
-  if (sole_copy(*r.data, inst)) {
+  if (reference_sole_copy(*r.data, inst)) {
     key += cfg.dirty_penalty;
   }
   bool pending = false;
@@ -599,6 +600,63 @@ TEST(VictimWalk, TiesGoToLowerIndexPosition) {
   EXPECT_TRUE(f.ctx.finalize().ok());
 }
 
+// link() walks from whichever end of the list is nearer in last_use; from
+// either end the instance must land after every equal last_use, where a
+// walk from the tail puts it. Inserts below the head, mid-list, at ties
+// and above the tail, each checked against a stably sorted reference.
+TEST(VictimWalk, LinkFromEitherEndKeepsTailWalkOrder) {
+  walk_fixture f;
+  for (int i = 0; i < 16; ++i) {
+    f.add();
+  }
+  f.ctx.memory_options().scan_threshold = 0;  // every instance is hot
+  f.st().mem.pick_victim(f.st(), 0);           // builds the lists
+  auto listed = [&f] {
+    const data_instance* x = &f.inst(0);
+    while (x->lru_prev != nullptr) {
+      x = x->lru_prev;
+    }
+    std::vector<const data_instance*> out;
+    for (; x != nullptr; x = x->lru_next) {
+      out.push_back(x);
+    }
+    return out;
+  };
+  std::vector<const data_instance*> want = listed();
+  ASSERT_EQ(want.size(), f.data.size());
+  auto use = [&](std::size_t i, std::uint64_t last_use) {
+    data_instance& x = f.inst(i);
+    want.erase(std::find(want.begin(), want.end(), &x));
+    x.last_use = last_use;
+    x.prev_use = last_use;
+    f.st().mem.on_use(x);
+    want.insert(std::upper_bound(want.begin(), want.end(), last_use,
+                                 [](std::uint64_t v, const data_instance* y) {
+                                   return v < y->last_use;
+                                 }),
+                &x);
+    EXPECT_EQ(listed(), want) << "instance " << i << " at " << last_use;
+  };
+  for (std::size_t i = 0; i < f.data.size(); ++i) {
+    use(i, 100 + 10 * i);  // 100 .. 250, each appended at the tail
+  }
+  use(7, 5);     // below the head
+  use(8, 0);     // below the new head
+  use(3, 175);   // mid-list, nearer the tail
+  use(12, 131);  // mid-list, nearer the head
+  use(9, 0);     // ties the head
+  use(1, 5);     // ties the second node
+  use(4, 110);   // ties a node near the head
+  use(5, 200);   // ties a node near the tail
+  use(14, 250);  // ties the tail
+  use(2, 400);   // above the tail
+  std::mt19937_64 rng(7);
+  for (int round = 0; round < 2000; ++round) {
+    use(rng() % f.data.size(), rng() % 48);  // dense ties everywhere
+  }
+  EXPECT_TRUE(f.ctx.finalize().ok());
+}
+
 // Random resident populations, use histories, pins, states and engine
 // settings — including crafted cross-class full-key ties, duplicate and
 // zero last_use values, sole shared copies, threshold changes (list
@@ -695,7 +753,7 @@ TEST(VictimWalk, MatchesFullScanRandomized) {
     }
     for (const mem_engine::resident_ref& r : *f.st().mem.resident(0)) {
       if (evictable(*r.inst) && r.inst->state == msi_state::shared &&
-          sole_copy(*r.data, *r.inst)) {
+          reference_sole_copy(*r.data, *r.inst)) {
         ++sole_shared;
         break;
       }

@@ -1,6 +1,6 @@
 // Parallel host-side submission (DESIGN.md §11, paper §VII-E): every
 // submission from every worker runs the one pipeline path under the
-// context mutex, deterministic-order mode retires items in order, and the
+// context lock, deterministic-order mode retires items in order, and the
 // cudasim boundary is thread-safe. Covers: disjoint-data fan-out with no
 // cross-talk, shared-data serialization, bit-identical deterministic
 // schedules on both backends, submission under injected faults, replay
@@ -96,7 +96,7 @@ TEST(ParallelSubmit, DisjointDataNoCrossTalk) {
   }
 }
 
-// --- shared data: the context mutex serializes correctly across threads ---
+// --- shared data: the context lock serializes correctly across threads ---
 
 TEST(ParallelSubmit, SharedDataSerializesCorrectly) {
   cudasim::scoped_platform sp(1, tdesc());
@@ -179,7 +179,7 @@ TEST(ParallelSubmit, DeterministicOrderBitIdenticalGraphBackend) {
   }
   {
     // The graph backend records into one capture graph per epoch; the
-    // context mutex admits one capturer at a time, and the turnstile still
+    // context lock admits one capturer at a time, and the turnstile still
     // retires items in order.
     cudasim::scoped_platform sp(2, tdesc());
     run_affine_chain(context::graph(sp.get()), sp.get(), mt, 4, items);
@@ -258,7 +258,7 @@ TEST(ParallelSubmit, DeterministicReplayAfterEpochRestart) {
 // Item `bad` (owned by worker bad % n_threads) submits a task on the host
 // place, which ctx.task() rejects with std::logic_error. parallel_submit
 // must stop that worker, let every other worker finish its in-flight item,
-// rethrow the logic_error after the join, and leave the context mutex free
+// rethrow the logic_error after the join, and leave the context lock free
 // for the main thread.
 void run_throwing_worker(bool deterministic) {
   cudasim::scoped_platform sp(1, tdesc());
@@ -315,7 +315,7 @@ void run_throwing_worker(bool deterministic) {
     }
   }
 
-  // The context mutex was released: the main thread submits and finalizes.
+  // The context lock was released: the main thread submits and finalizes.
   ctx.task(lacc.rw())->*add_one;
   const error_report rep = ctx.finalize();
   ASSERT_TRUE(rep.ok()) << rep.to_string();
@@ -355,7 +355,7 @@ TEST(ParallelSubmit, StructuralOpsMixedWithFastPath) {
 
   // Every 40th item runs a structural op (fence: drains the DES, recycles
   // slab nodes via collect_handles + gc) from a worker thread, interleaved
-  // with other workers' submissions under the context mutex, and exercises
+  // with other workers' submissions under the context lock, and exercises
   // the retired-prefix guard that keeps recycled nodes safe from stale
   // events.
   ctx.parallel_submit(n_threads, items, [&](std::size_t item) {
@@ -586,7 +586,7 @@ TEST(ParallelSubmit, StatsCountersCoherentUnderConcurrency) {
         };
   });
 
-  // Every increment happens under the context mutex: none is lost.
+  // Every increment happens under the context lock: none is lost.
   EXPECT_EQ(ctx.stats().tasks - tasks_before, items);
   const error_report rep = ctx.finalize();
   ASSERT_TRUE(rep.ok()) << rep.to_string();
