@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 verification: configure, build, run the full test suite, then the
-# Table I task-overhead benchmark in JSON mode and the Fig. 3 out-of-core
-# benchmark, whose JSON must equal BENCH_fig3.json byte for byte. Exits
-# nonzero on any failure.
+# Table I task-overhead benchmark in JSON mode, and the Fig. 3 out-of-core,
+# Table II reduction and chaos benchmarks, whose JSON must equal
+# BENCH_fig3.json, BENCH_table2.json and BENCH_chaos.json byte for byte.
+# Exits nonzero on any failure.
 # Usage: scripts/tier1.sh [--sanitize] [--tsan] [--bench-smoke] [--chaos]
 #                         [build-dir]
 #
@@ -62,14 +63,20 @@ cmake --build "$build" -j "$jobs"
 timeout --signal=KILL "${TIER1_CTEST_TIMEOUT:-600}" \
   ctest --test-dir "$build" --output-on-failure -j "$jobs"
 "$build/bench/bench_table1_task_overhead" --json
-# Fig. 3 gate: every field of its JSON is virtual time, so the output must
-# match the checked-in BENCH_fig3.json byte for byte. Any drift of the
-# one-device out-of-core victim policy fails the run.
-if ! "$build/bench/bench_fig3_oom_cholesky" --json |
-    cmp - "$repo/BENCH_fig3.json"; then
-  echo "tier1: bench_fig3_oom_cholesky --json differs from BENCH_fig3.json" >&2
-  exit 1
-fi
+# Virtual-time gates: every field of these JSON outputs is virtual time or
+# a count, so each must match its checked-in baseline byte for byte. Any
+# drift of the out-of-core victim policy (Fig. 3), the reduction planner
+# (Table II) or the recovery ladders (chaos) fails the run.
+for pair in \
+  "bench_fig3_oom_cholesky:BENCH_fig3.json" \
+  "bench_table2_reduction:BENCH_table2.json" \
+  "bench_chaos:BENCH_chaos.json"; do
+  bench="${pair%%:*}"
+  if ! "$build/bench/$bench" --json | cmp - "$repo/${pair##*:}"; then
+    echo "tier1: $bench --json differs from ${pair##*:}" >&2
+    exit 1
+  fi
+done
 
 # Sorted unique JSON object keys of a record stream — the schema, not the
 # values.

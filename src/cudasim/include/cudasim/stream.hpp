@@ -78,8 +78,8 @@ class stream {
 
   // Internal: dependency chaining used by the platform. `last_` is atomic
   // because platform::collect_handles() clears completed tails under the
-  // platform lock while another thread's submission path may read the tail
-  // holding only its per-stream mutex.
+  // platform lock while the STF stream backend reads the tail holding only
+  // the context lock (backend_stream.cpp).
   op_node* last() const { return last_.load(std::memory_order_acquire); }
   void set_last(op_node* n) { last_.store(n, std::memory_order_release); }
   void drop_completed();  ///< forget last_ if it already completed

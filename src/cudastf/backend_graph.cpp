@@ -182,6 +182,22 @@ void graph_backend::flush() {
     }
   }
 
+  const int home = epoch_stream_->device();
+  if (plat_->faults_armed() && plat_->device_failed(home)) [[unlikely]] {
+    // A failed device refuses every launch on its streams: move the epoch
+    // stream to the lowest healthy device, ordered after the last epoch.
+    for (int d = 0; d < plat_->device_count(); ++d) {
+      if (!plat_->device_failed(d)) {
+        auto moved = std::make_unique<cudasim::stream>(*plat_, d);
+        if (last_epoch_done_) {
+          moved->wait_event(
+              static_cast<stream_event*>(last_epoch_done_.get())->ev);
+        }
+        epoch_stream_ = std::move(moved);
+        break;
+      }
+    }
+  }
   for (const event_ptr& e : external_deps_) {
     if (auto* se = as_stream_event(e)) {
       epoch_stream_->wait_event(se->ev);

@@ -94,9 +94,7 @@ void checkpoint_manager::on_register(const std::shared_ptr<logical_data_impl>& d
   entries_.push_back(std::move(e));
 }
 
-void checkpoint_manager::record(
-    std::function<void()> replay,
-    std::vector<std::weak_ptr<logical_data_impl>> touched) {
+void checkpoint_manager::record(std::function<void()> replay) {
   if (replaying_ || suppressed_) {
     return;  // replayed / deadline-resubmitted tasks are already in the log
   }
@@ -109,7 +107,6 @@ void checkpoint_manager::record(
     take_checkpoint();  // a refused attempt just retries at the next trigger
   }
   log_.push_back(std::move(replay));
-  log_touched_.push_back(std::move(touched));
   ++tasks_since_;
 }
 
@@ -245,7 +242,6 @@ bool checkpoint_manager::take_checkpoint() {
     p.e->committed_version = p.version;
   }
   log_.clear();
-  log_touched_.clear();
   tasks_since_ = 0;
   if (st_->plat != nullptr) {
     last_checkpoint_time_ = st_->plat->now();
@@ -413,39 +409,16 @@ bool checkpoint_manager::try_restart(const task_dep_untyped* const* deps,
   // failure inside the replay falls through to poison-and-cancel
   // (replaying_ guards re-entry).
   replaying_ = true;
-  // Replay-time eviction lookahead: while replaying, the remaining log
-  // entries are the exact future — count the uses per data so the memory
-  // engine will not evict something a later entry is about to touch.
-  future_uses_.clear();
-  for (const auto& tv : log_touched_) {
-    for (const auto& w : tv) {
-      if (auto d = w.lock()) {
-        ++future_uses_[d.get()];
-      }
-    }
-  }
   try {
     for (std::size_t i = 0; i < log_.size(); ++i) {
-      if (i < log_touched_.size()) {
-        for (const auto& w : log_touched_[i]) {
-          if (auto d = w.lock()) {
-            auto it = future_uses_.find(d.get());
-            if (it != future_uses_.end() && --it->second == 0) {
-              future_uses_.erase(it);
-            }
-          }
-        }
-      }
       log_[i]();
       ++bs.tasks_replayed;
     }
   } catch (...) {
     replaying_ = false;
-    future_uses_.clear();
     throw;
   }
   replaying_ = false;
-  future_uses_.clear();
   // The log stays: the epoch continues to grow until the next committed
   // checkpoint, and a later restart replays it from the same boundary.
   return true;

@@ -62,11 +62,11 @@ struct backend_stats {
   /// Eviction victims dropped without any staging copy (another valid
   /// replica existed).
   std::uint64_t clean_drops = 0;
-  /// OOM rounds where lookahead scoring picked a clean victim while pure
-  /// LRU would have evicted a modified one (and paid the write-back).
+  /// OOM rounds where the victim key picked a clean victim while pure LRU
+  /// would have evicted a sole copy (and paid the write-back).
   std::uint64_t writebacks_avoided = 0;
-  /// Evicted instances re-filled ahead of demand through the transfer
-  /// engine (the later acquire coalesces onto the in-flight fill).
+  /// Always 0: the memory engine has no prefetch-back. Kept because
+  /// perfbench reports it as mem.prefetch_refills.
   std::uint64_t prefetch_refills = 0;
   /// Times the cache handed blocks back to the platform (OOM pressure or
   /// an epoch-end trim).

@@ -21,7 +21,6 @@
 #include <memory>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "cudastf/error.hpp"
@@ -67,20 +66,9 @@ class checkpoint_manager {
 
   /// Called by every builder at submission time (when the manager exists):
   /// first applies the automatic checkpoint triggers, then appends the
-  /// task's replay closure to the epoch submission log, together with the
-  /// logical data the task touches (the eviction engine's replay-time
-  /// lookahead, see has_future_use). No-op during replay — replayed tasks
-  /// are already in the log.
-  void record(std::function<void()> replay,
-              std::vector<std::weak_ptr<logical_data_impl>> touched = {});
-
-  /// Eviction lookahead (mem_engine.cpp): true while an epoch replay is in
-  /// progress and a not-yet-replayed log entry touches `d` — the log *is*
-  /// the future then, and evicting `d` would force a refill moments later.
-  /// Always false outside replay (the log only records the past).
-  bool has_future_use(const logical_data_impl* d) const {
-    return !future_uses_.empty() && future_uses_.count(d) != 0;
-  }
+  /// task's replay closure to the epoch submission log. No-op during
+  /// replay — replayed tasks are already in the log.
+  void record(std::function<void()> replay);
 
   /// Takes an epoch-consistent incremental checkpoint: an epoch barrier
   /// (backend fence), one asynchronous snapshot copy per dirty logical
@@ -157,11 +145,6 @@ class checkpoint_manager {
   checkpoint_options opts_;
   std::vector<entry> entries_;
   std::vector<std::function<void()>> log_;
-  /// Parallel to log_: the logical data each entry touches.
-  std::vector<std::vector<std::weak_ptr<logical_data_impl>>> log_touched_;
-  /// Populated for the duration of a replay: data -> count of
-  /// not-yet-replayed log entries touching it.
-  std::unordered_map<const logical_data_impl*, std::size_t> future_uses_;
   std::uint64_t tasks_since_ = 0;
   double last_checkpoint_time_ = 0.0;
   std::uint64_t epoch_ = 0;

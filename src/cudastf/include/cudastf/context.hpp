@@ -469,10 +469,9 @@ class context {
   transfer_config& transfer_options() { return st_->xfer; }
   const transfer_config& transfer_options() const { return st_->xfer; }
 
-  /// Memory-engine knobs (DESIGN.md §9): caching suballocator, lookahead
-  /// victim scoring, eviction batching, prefetch-back. Each mechanism
-  /// toggles independently for ablation; with all of them off the
-  /// allocator behaves exactly like the pre-engine LRU evictor.
+  /// Memory-engine victim-policy settings (DESIGN.md §9): eviction batch,
+  /// sole-copy penalty, scan threshold and young guard. The caching
+  /// suballocator and the victim key themselves are always on.
   mem_config& memory_options() { return st_->mem.cfg; }
   const mem_config& memory_options() const { return st_->mem.cfg; }
 

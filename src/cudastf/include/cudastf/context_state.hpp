@@ -119,13 +119,13 @@ struct context_state {
 
   // --- memory engine (mem_engine.cpp, DESIGN.md §9) ---
 
-  /// Caching suballocator, resident-instance victim index and prefetch
-  /// queue; configured via ctx.memory_options().
+  /// Caching suballocator and resident-instance victim index; configured
+  /// via ctx.memory_options().
   mem_engine mem;
 
   /// Allocates a device instance buffer: recycles a cached block when one
   /// fits, else allocates from the platform, trimming the cache and then
-  /// evicting batches of victims (lookahead-scored, least-valuable first)
+  /// evicting batches of victims (lowest victim key first)
   /// under pool pressure. Appends allocation-completion events to `out`;
   /// throws oom_error (derives std::bad_alloc) if nothing can be evicted.
   void* alloc_with_eviction(int device, std::size_t bytes, event_list& out);

@@ -94,10 +94,8 @@ struct integrity_entry {
 };
 
 /// Type-erased core of logical_data<T>. All mutation happens under the
-/// owning context's submission lock. Shared-from-this so the memory
-/// engine's prefetch queue can hold weak references to eviction victims.
-class logical_data_impl
-    : public std::enable_shared_from_this<logical_data_impl> {
+/// owning context's submission lock.
+class logical_data_impl {
  public:
   logical_data_impl(std::shared_ptr<context_state> st,
                     std::vector<std::size_t> extents, std::size_t elem_size,

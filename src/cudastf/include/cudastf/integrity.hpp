@@ -6,7 +6,7 @@
 // producing stream at write-release, keyed to write_version, and every
 // trust boundary verifies instance bytes against it: task acquire,
 // transfer-source selection, checkpoint snapshot commit and rollback
-// restore, eviction write-back, prefetch refill and host evacuation. A
+// restore, eviction write-back and host evacuation. A
 // mismatch invalidates the corrupt replica and repairs from another
 // verified MSI sharer (replicas_repaired); with no survivor the failure
 // escalates through the existing ladder — epoch restart when checkpointing

@@ -1,37 +1,33 @@
 // Out-of-core memory engine (DESIGN.md §9).
 //
-// Three mechanisms make the eviction regime fast without touching the
+// Two mechanisms make the eviction regime fast without touching the
 // fault/checkpoint ladders: (1) a per-device size-class caching
 // suballocator in front of backend->alloc_device — binned free lists that
 // recycle evicted blocks without a platform malloc/free round-trip, each
 // block carrying the precise completion events of its previous life
 // instead of serializing on the shared alloc stream; (2) a per-device
-// resident-instance index with lookahead-aware victim scoring (droppable
-// before sole copies, idle before pending, and replay-log future uses when
-// checkpointing is armed); (3) batched eviction plus prefetch-back of
-// evicted instances through the transfer engine so re-fills overlap
-// compute instead of stalling acquire.
+// resident-instance index walked by a victim key (scan-resistant classes,
+// droppable before sole copies), evicting a batch per OOM round.
 //
 // Each device keeps its own use clock, ticked by acquires of that device's
-// instances and by prefetch-back refills into it; last_use and prev_use of
-// a device instance are readings of its device's clock, so the reuse
-// interval and the scan_guard window count that device's accesses only,
-// whatever the device count.
+// instances; last_use and prev_use of a device instance are readings of
+// its device's clock, so the reuse interval and the scan_guard window
+// count that device's accesses only, whatever the device count.
 //
 // Victim selection walks the index in key order instead of scanning it.
 // Each device keeps two intrusive lists of its resident instances, ordered
 // by last_use: the streaming class (reuse interval above scan_threshold)
 // and the hot class. A victim key is a penalty-free part fixed by the
-// class and last_use, plus nonnegative penalties, so three cursors — old
-// streaming by descending last_use from the scan_guard boundary, hot by
-// ascending last_use, young streaming by descending last_use from the tail
-// — yield instances in nondecreasing lower-bound order. The walk computes
-// each visited instance's full key and stops once the next lower bound
-// exceeds the best key found; key ties go to the lower resident-index
-// position, so the victim is the one a full scan of the index would pick.
-// The lists are built at a device's first eviction (devices that never
-// evict pay one branch per acquire) and rebuilt when scan_threshold
-// changes.
+// class and last_use, plus a nonnegative sole-copy penalty, so three
+// cursors — old streaming by descending last_use from the scan_guard
+// boundary, hot by ascending last_use, young streaming by descending
+// last_use from the tail — yield instances in nondecreasing lower-bound
+// order. The walk computes each visited instance's full key and stops once
+// the next lower bound exceeds the best key found; key ties go to the
+// lower resident-index position, so the victim is the one a full scan of
+// the index would pick. The lists are built at a device's first eviction
+// (devices that never evict pay one branch per acquire) and rebuilt when
+// scan_threshold changes.
 //
 // Cached blocks still count against the device pool, so the engine trims
 // itself back to the platform under OOM pressure and at epoch boundaries
@@ -42,7 +38,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -53,29 +48,16 @@ namespace cudastf {
 
 struct context_state;
 
-/// Memory-engine configuration, per context (ctx.memory_options()). Every
-/// mechanism is independently toggleable; with all three off the allocator
-/// is behaviorally identical to the pre-engine code (the resident index
-/// picks the same LRU victims a full-registry scan would).
+/// Memory-engine victim-policy settings, per context
+/// (ctx.memory_options()). The caching suballocator and the victim key are
+/// always on; these tune the key and the eviction batch.
 struct mem_config {
-  /// (1) Caching suballocator: freed device blocks are parked in binned
-  /// free lists and recycled without a platform round-trip.
-  bool cache = true;
-  /// (2) Lookahead-aware victim selection: prefer clean instances (free to
-  /// drop, no write-back) and instances without pending uses over pure LRU.
-  bool lookahead = true;
-  /// (3) Prefetch-back: evicted instances are re-filled through the
-  /// transfer engine when capacity reappears, overlapping compute.
-  bool prefetch = true;
   /// Victims evicted per OOM round; >1 leaves recycled blocks ready for
   /// the allocations that follow.
   std::size_t evict_batch = 2;
   /// Victim-score penalty (use-clock ticks) for a sole copy — a modified
   /// instance, or the only valid one — whose eviction costs a write-back.
   std::uint64_t dirty_penalty = 256;
-  /// Penalty for an instance with uncompleted reader/writer events — its
-  /// recycled block would stall the next consumer on those events.
-  std::uint64_t pending_penalty = 64;
   /// Scan resistance (LRU-2 flavored): an instance whose reuse interval
   /// (last_use - prev_use, in acquire ticks of the instance's device)
   /// exceeds this is classed as streaming — touched once per sweep of a
@@ -92,14 +74,6 @@ struct mem_config {
   /// deferred behind older streaming ones, trading a few extra misses for
   /// a shallow dependency pipeline. 0 disables the guard.
   std::uint64_t scan_guard = 192;
-  /// Penalty for data a not-yet-replayed submission-log entry touches
-  /// (only meaningful during a checkpoint epoch replay, when the log *is*
-  /// the future).
-  std::uint64_t future_penalty = 1024;
-  /// Prefetch-back fills issued per allocator visit.
-  std::size_t prefetch_max_inflight = 2;
-  /// Bound on remembered eviction victims awaiting prefetch-back.
-  std::size_t prefetch_queue_cap = 512;
 };
 
 /// Rounds `bytes` up to its allocation size class: 3 significant mantissa
@@ -173,18 +147,7 @@ class mem_engine {
     resident_ref best;
     resident_ref lru;
   };
-  victim_choice pick_victim(const context_state& st, int device);
-
-  // --- prefetch-back ---
-
-  /// Remembers an eviction victim as a prefetch-back candidate.
-  void note_eviction(logical_data_impl& d, int device);
-
-  /// Opportunistically re-fills remembered victims (FIFO — under a cyclic
-  /// working-set sweep the oldest eviction is needed soonest) when a cached
-  /// block or real pool headroom can back them without evicting anything.
-  /// The later demand acquire coalesces onto the in-flight fill.
-  void pump_prefetch(context_state& st, int device);
+  victim_choice pick_victim(int device);
 
   /// Bytes currently parked in the device's free lists (they still count
   /// against the pool until trimmed).
@@ -213,11 +176,6 @@ class mem_engine {
     bool ordered = false;
     std::uint64_t ordered_threshold = 0;
   };
-  struct prefetch_entry {
-    std::weak_ptr<logical_data_impl> data;
-    int device = -1;
-  };
-
   device_mem& dev(int device);
 
   /// (Re)builds the device's victim lists from its resident index.
@@ -230,8 +188,6 @@ class mem_engine {
   // deque, not vector: growing for a new device (e.g. peer staging inside
   // an eviction) must not move other devices' entries.
   std::deque<device_mem> dev_;
-  std::deque<prefetch_entry> prefetch_q_;
-  bool pumping_ = false;
 };
 
 /// Counted host staging allocation (eviction staging, blacklist
@@ -242,7 +198,7 @@ void* alloc_host_staging(context_state& st, std::size_t bytes);
 /// Frees a device instance's backing through the engine: removes it from
 /// the resident index, carries its readers/writer as the block's
 /// dependencies, and either parks the block for recycling (`recycle`, with
-/// the cache enabled and the device healthy) or issues the asynchronous
+/// the device healthy) or issues the asynchronous
 /// platform free. Leaves the instance invalid and unallocated.
 void release_device_instance(context_state& st, logical_data_impl& d,
                              data_instance& inst, bool recycle);

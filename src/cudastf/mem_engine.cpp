@@ -1,6 +1,6 @@
 // Out-of-core memory engine (DESIGN.md §9): caching suballocator,
-// last_use-ordered victim lists walked by lookahead key, batched eviction
-// and prefetch-back. Owns context_state::alloc_with_eviction.
+// last_use-ordered victim lists walked by victim key, and batched
+// eviction. Owns context_state::alloc_with_eviction.
 //
 // Threading contract (DESIGN.md §11): allocation and eviction mutate
 // instances of arbitrary logical data; this engine only ever runs under the
@@ -40,9 +40,6 @@ mem_engine::device_mem& mem_engine::dev(int device) {
 
 void* mem_engine::take_cached(context_state& st, int device, std::size_t bytes,
                               event_list& out) {
-  if (!cfg.cache) {
-    return nullptr;
-  }
   device_mem& dm = dev(device);
   auto it = dm.bins.find(mem_size_class(bytes));
   if (it == dm.bins.end()) {
@@ -229,89 +226,6 @@ void mem_engine::relink(data_instance& inst) {
   link(dm, inst);
 }
 
-void mem_engine::note_eviction(logical_data_impl& d, int device) {
-  if (!cfg.prefetch) {
-    return;
-  }
-  if (prefetch_q_.size() >= cfg.prefetch_queue_cap) {
-    prefetch_q_.pop_front();
-  }
-  prefetch_q_.push_back({d.weak_from_this(), device});
-}
-
-void mem_engine::pump_prefetch(context_state& st, int /*device*/) {
-  if (!cfg.prefetch || pumping_ || prefetch_q_.empty()) {
-    return;
-  }
-  pumping_ = true;
-  std::size_t budget = cfg.prefetch_max_inflight;
-  try {
-    while (budget > 0 && !prefetch_q_.empty()) {
-      prefetch_entry e = std::move(prefetch_q_.front());
-      prefetch_q_.pop_front();
-      auto d = e.data.lock();
-      if (!d || d->poisoned_by != 0 || st.device_blacklisted(e.device) ||
-          st.plat->device_failed(e.device)) {
-        continue;
-      }
-      data_instance& inst = d->instance_at(data_place::device(e.device));
-      if (inst.allocated || inst.state != msi_state::invalid || inst.pinned) {
-        continue;  // came back (or never left) on its own
-      }
-      const std::size_t bytes = d->bytes();
-      event_list alloc_events;
-      // Only real pool headroom qualifies: a prefetch must never evict,
-      // and it must not take cached blocks either — under full-pool
-      // pressure those are spoken for by the demand allocations cycling
-      // through the cache, and stealing them re-triggers eviction.
-      void* p = nullptr;
-      const cudasim::device_state& ds = st.plat->device(e.device);
-      if (ds.pool_capacity() - ds.pool_used() >= bytes) {
-        p = st.backend->alloc_device(e.device, bytes, alloc_events);
-      }
-      if (p == nullptr) {
-        prefetch_q_.push_front(std::move(e));  // no capacity yet: retry later
-        break;
-      }
-      inst.ptr = p;
-      inst.allocated = true;
-      inst.writer.merge(alloc_events);
-      reset_fill_tracking(inst);
-      on_resident(e.device, *d, inst);
-      bool filled = false;
-      try {
-        filled = request_transfer(st, *d, inst);
-      } catch (...) {
-        // Opportunistic path: a failing prefetch copy is not an error, the
-        // demand fill will retry and surface it. Accepted segments already
-        // guard the buffer through inst.writer.
-        filled = false;
-      }
-      // Trust boundary (integrity engine, DESIGN.md §10): the source was
-      // vetted at pick time, so a mismatch here means the copy itself was
-      // flipped in flight — drop the refill, the demand path retries.
-      if (filled && st.integ != nullptr) [[unlikely]] {
-        if (!st.integ->verify_instance(st, *d, inst, "prefetch_refill")) {
-          st.integ->handle_corruption(st, *d, inst, "prefetch_refill");
-          filled = inst.state != msi_state::invalid;
-        }
-      }
-      if (!filled) {
-        release_device_instance(st, *d, inst, /*recycle=*/true);
-        continue;
-      }
-      inst.last_use = tick(e.device);  // fresh fill: not the next victim
-      on_use(inst);
-      ++st.backend->mutable_stats().prefetch_refills;
-      --budget;
-    }
-  } catch (...) {
-    pumping_ = false;
-    throw;
-  }
-  pumping_ = false;
-}
-
 std::size_t mem_engine::cached_bytes(int device) const {
   if (static_cast<std::size_t>(device) >= dev_.size()) {
     return 0;
@@ -332,7 +246,7 @@ void release_device_instance(context_state& st, logical_data_impl& d,
   deps.merge(inst.readers);
   deps.merge(inst.writer);
   st.mem.on_nonresident(device, inst);
-  if (recycle && st.mem.cfg.cache && !st.plat->device_failed(device)) {
+  if (recycle && !st.plat->device_failed(device)) {
     st.mem.release_block(st, device, d.bytes(), inst.ptr, std::move(deps));
   } else {
     st.backend->free_device(device, inst.ptr, deps, st.dangling);
@@ -359,22 +273,6 @@ bool sole_copy(const logical_data_impl& d, const data_instance& inst) {
 
 namespace {
 
-/// Any reader/writer event of `inst` not yet retired in virtual time — the
-/// recycled block would stall its next consumer on those events.
-bool has_pending_events(const data_instance& inst) {
-  for (const event_ptr& e : inst.writer) {
-    if (e && !e->completed()) {
-      return true;
-    }
-  }
-  for (const event_ptr& e : inst.readers) {
-    if (e && !e->completed()) {
-      return true;
-    }
-  }
-  return false;
-}
-
 bool evictable(const data_instance& inst) {
   return !inst.pinned && !inst.user_owned && inst.allocated;
 }
@@ -392,14 +290,10 @@ bool young(const mem_config& cfg, const data_instance& inst,
 }
 
 /// The victim key: lowest is evicted first. The penalty-free part depends
-/// only on the class and last_use; the penalties are nonnegative. `clock`
-/// is the use clock of the instance's device.
-std::uint64_t victim_key(const context_state& st, const mem_config& cfg,
-                         const logical_data_impl& d, const data_instance& inst,
-                         std::uint64_t clock) {
-  if (!cfg.lookahead) {
-    return inst.last_use;
-  }
+/// only on the class and last_use; the sole-copy penalty is nonnegative.
+/// `clock` is the use clock of the instance's device.
+std::uint64_t victim_key(const mem_config& cfg, const logical_data_impl& d,
+                         const data_instance& inst, std::uint64_t clock) {
   std::uint64_t key;
   if (use_class(inst, cfg.scan_threshold) == streaming_class) {
     key = scan_base - inst.last_use;
@@ -411,13 +305,6 @@ std::uint64_t victim_key(const context_state& st, const mem_config& cfg,
   }
   if (sole_copy(d, inst)) {
     key += cfg.dirty_penalty;
-  }
-  if (cfg.pending_penalty != 0 && has_pending_events(inst)) {
-    key += cfg.pending_penalty;
-  }
-  if (st.ckpt != nullptr && cfg.future_penalty != 0 &&
-      st.ckpt->has_future_use(&d)) {
-    key += cfg.future_penalty;
   }
   return key;
 }
@@ -450,8 +337,7 @@ bool better(std::uint64_t key, const data_instance& inst,
 
 }  // namespace
 
-mem_engine::victim_choice mem_engine::pick_victim(const context_state& st,
-                                                  int device) {
+mem_engine::victim_choice mem_engine::pick_victim(int device) {
   if (static_cast<std::size_t>(device) >= dev_.size()) {
     return {};
   }
@@ -461,28 +347,23 @@ mem_engine::victim_choice mem_engine::pick_victim(const context_state& st,
   }
   const lru_list& streaming = dm.lists[streaming_class - 1];
   const lru_list& hot = dm.lists[hot_class - 1];
-  victim_cursor cur[3];
-  std::size_t n = 0;
-  if (cfg.lookahead) {
-    // Young streaming instances are a suffix of the streaming list.
-    data_instance* old_end = streaming.tail;
-    while (old_end != nullptr && young(cfg, *old_end, dm.clock)) {
-      old_end = old_end->lru_prev;
-    }
-    cur[n++] = {old_end, nullptr, scan_base, true};
-    cur[n++] = {hot.head, nullptr, scan_base, false};
-    cur[n++] = {streaming.tail, old_end, scan_base + scan_base / 2, true};
-  } else {
-    cur[n++] = {streaming.head, nullptr, 0, false};
-    cur[n++] = {hot.head, nullptr, 0, false};
+  // Young streaming instances are a suffix of the streaming list.
+  data_instance* old_end = streaming.tail;
+  while (old_end != nullptr && young(cfg, *old_end, dm.clock)) {
+    old_end = old_end->lru_prev;
   }
+  victim_cursor cur[] = {
+      {old_end, nullptr, scan_base, true},
+      {hot.head, nullptr, scan_base, false},
+      {streaming.tail, old_end, scan_base + scan_base / 2, true},
+  };
   data_instance* best = nullptr;
   std::uint64_t best_key = std::numeric_limits<std::uint64_t>::max();
   for (;;) {
     victim_cursor* c = nullptr;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!cur[i].done() && (c == nullptr || cur[i].bound() < c->bound())) {
-        c = &cur[i];
+    for (victim_cursor& k : cur) {
+      if (!k.done() && (c == nullptr || k.bound() < c->bound())) {
+        c = &k;
       }
     }
     // Every unvisited key is >= the smallest bound; equal may still win
@@ -494,32 +375,29 @@ mem_engine::victim_choice mem_engine::pick_victim(const context_state& st,
     if (!evictable(inst)) {
       continue;
     }
-    const std::uint64_t key = victim_key(
-        st, cfg, *dm.resident[inst.resident_pos].data, inst, dm.clock);
+    const std::uint64_t key =
+        victim_key(cfg, *dm.resident[inst.resident_pos].data, inst, dm.clock);
     if (better(key, inst, best_key, best)) {
       best_key = key;
       best = &inst;
     }
   }
-  // Pure-LRU reference (without lookahead the key is last_use, so it is
-  // `best`): the least recent evictable instance near either list's head.
-  data_instance* lru = best;
-  if (cfg.lookahead) {
-    lru = nullptr;
-    for (const lru_list& l : dm.lists) {
-      for (data_instance* p = l.head; p != nullptr; p = p->lru_next) {
-        if (lru != nullptr && p->last_use > lru->last_use) {
-          break;
-        }
-        if (evictable(*p) &&
-            (lru == nullptr || better(p->last_use, *p, lru->last_use, lru))) {
-          lru = p;
-        }
-      }
-    }
-  }
   if (best == nullptr) {
     return {};
+  }
+  // Pure-LRU reference: the least recent evictable instance near either
+  // list's head.
+  data_instance* lru = nullptr;
+  for (const lru_list& l : dm.lists) {
+    for (data_instance* p = l.head; p != nullptr; p = p->lru_next) {
+      if (lru != nullptr && p->last_use > lru->last_use) {
+        break;
+      }
+      if (evictable(*p) &&
+          (lru == nullptr || better(p->last_use, *p, lru->last_use, lru))) {
+        lru = p;
+      }
+    }
   }
   return {dm.resident[best->resident_pos], dm.resident[lru->resident_pos]};
 }
@@ -530,14 +408,13 @@ bool context_state::evict_for(int device, std::size_t bytes_needed) {
   std::size_t evicted = 0;
   std::size_t freed = 0;
   while (evicted < batch || freed < bytes_needed) {
-    const mem_engine::victim_choice choice = mem.pick_victim(*this, device);
+    const mem_engine::victim_choice choice = mem.pick_victim(device);
     if (choice.best.inst == nullptr) {
       break;
     }
     logical_data_impl& d = *choice.best.data;
     data_instance& victim = *choice.best.inst;
-    if (mem.cfg.lookahead && choice.lru.inst != &victim &&
-        !sole_copy(d, victim) &&
+    if (choice.lru.inst != &victim && !sole_copy(d, victim) &&
         sole_copy(*choice.lru.data, *choice.lru.inst)) {
       ++bs.writebacks_avoided;  // pure LRU would have paid a write-back here
     }
@@ -569,7 +446,6 @@ bool context_state::evict_for(int device, std::size_t bytes_needed) {
     } else {
       ++bs.clean_drops;  // another valid copy exists: free to drop
     }
-    mem.note_eviction(d, device);
     freed += d.bytes();
     release_device_instance(*this, d, victim, /*recycle=*/true);
     ++bs.evictions;
@@ -586,12 +462,10 @@ void* context_state::alloc_with_eviction(int device, std::size_t bytes,
     throw detail::device_lost_error(device);
   }
   if (void* p = mem.take_cached(*this, device, bytes, out)) {
-    mem.pump_prefetch(*this, device);
     return p;
   }
   for (;;) {
     if (void* p = backend->alloc_device(device, bytes, out)) {
-      mem.pump_prefetch(*this, device);
       return p;
     }
     if (plat->consume_injected_alloc_failure()) {
@@ -615,7 +489,6 @@ void* context_state::alloc_with_eviction(int device, std::size_t bytes,
       throw oom_error(device, bytes, dev.pool_capacity() - dev.pool_used());
     }
     if (void* p = mem.take_cached(*this, device, bytes, out)) {
-      mem.pump_prefetch(*this, device);
       return p;
     }
   }

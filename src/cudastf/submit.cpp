@@ -294,12 +294,7 @@ void submit_pipeline::record_to_log(std::function<void()> requeue) {
   if (!requeue || st_.ckpt->replaying()) {
     return;
   }
-  std::vector<std::weak_ptr<logical_data_impl>> touched;
-  touched.reserve(op_.n_deps);
-  for (std::size_t i = 0; i < op_.n_deps; ++i) {
-    touched.push_back(op_.deps[i]->data);
-  }
-  st_.ckpt->record(std::move(requeue), std::move(touched));
+  st_.ckpt->record(std::move(requeue));
 }
 
 // --- per-construct policy ---

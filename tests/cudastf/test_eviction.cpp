@@ -137,12 +137,17 @@ TEST(Eviction, EvictionIsAsynchronousInVirtualTime) {
 // no valid instance: the host kept its unfactored input and the report
 // still said ok.
 
+struct factor_result {
+  std::vector<double> l;
+  bool ok = false;
+  std::uint64_t evictions = 0;
+};
+
 // Factors an n x n SPD matrix (block 16) on `ndev` A100 models, each pool
-// capped at `cap_tiles` tiles (0: uncapped); returns the factor and
-// whether the report was ok.
-std::pair<std::vector<double>, bool> factor(std::size_t n, int ndev,
-                                            bool graph,
-                                            std::size_t cap_tiles) {
+// capped at `cap_tiles` tiles (0: uncapped); returns the factor, whether
+// the report was ok and the eviction count.
+factor_result factor(std::size_t n, int ndev, bool graph,
+                     std::size_t cap_tiles) {
   constexpr std::size_t block = 16;
   std::vector<double> dense(n * n);
   blaslib::fill_spd(dense.data(), n, 7);
@@ -156,17 +161,18 @@ std::pair<std::vector<double>, bool> factor(std::size_t n, int ndev,
   }
   blaslib::tile_matrix tiles(n, block);
   tiles.import_dense(dense.data());
-  bool ok = false;
+  factor_result r;
   {
     context ctx = graph ? context::graph(p) : context(p);
     blaslib::tiled_cholesky_stf(ctx, tiles, {.block = block});
     const error_report rep = ctx.finalize();
-    ok = rep.ok();
-    EXPECT_TRUE(ok) << rep.to_string();
+    r.ok = rep.ok();
+    r.evictions = ctx.stats().evictions;
+    EXPECT_TRUE(r.ok) << rep.to_string();
   }
-  std::vector<double> out(n * n, 0.0);
-  tiles.export_dense(out.data());
-  return {std::move(out), ok};
+  r.l.assign(n * n, 0.0);
+  tiles.export_dense(r.l.data());
+  return r;
 }
 
 // Every order from 96 to 143 on 1-4 devices capped at 28 tiles, on both
@@ -176,22 +182,26 @@ TEST(LastValidCopy, CappedCholeskyMatchesInCore) {
   constexpr std::size_t first = 96, last = 143;
   std::vector<std::vector<double>> in_core;
   for (std::size_t n = first; n <= last; ++n) {
-    auto [want, ok] = factor(n, 1, false, 0);
-    ASSERT_TRUE(ok) << "n " << n;
-    in_core.push_back(std::move(want));
+    factor_result want = factor(n, 1, false, 0);
+    ASSERT_TRUE(want.ok) << "n " << n;
+    in_core.push_back(std::move(want.l));
   }
   for (bool graph : {false, true}) {
     for (int ndev = 1; ndev <= 4; ++ndev) {
       int wrong = 0;
+      std::uint64_t evictions = 0;
       for (std::size_t n = first; n <= last; ++n) {
-        const auto [got, ok] = factor(n, ndev, graph, 28);
-        ASSERT_TRUE(ok) << "n " << n;
+        const factor_result got = factor(n, ndev, graph, 28);
+        ASSERT_TRUE(got.ok) << "n " << n;
         const std::vector<double>& want = in_core[n - first];
-        wrong += std::memcmp(want.data(), got.data(),
+        wrong += std::memcmp(want.data(), got.l.data(),
                              want.size() * sizeof(double)) != 0;
+        evictions += got.evictions;
       }
       EXPECT_EQ(wrong, 0) << (graph ? "graph" : "stream") << " backend, "
                           << ndev << " devices";
+      EXPECT_GT(evictions, 0u) << (graph ? "graph" : "stream") << " backend, "
+                               << ndev << " devices";
     }
   }
 }

@@ -1,8 +1,9 @@
 // Deterministic fault injection and the STF error model (DESIGN.md §5):
 // sticky CUDA-style statuses, bit-identical seeded replay, transient-fault
 // retry with virtual-time backoff, poison/cancel cause chains, device
-// blacklisting with re-routing (plain tasks, tiled Cholesky, launch()),
-// OOM diagnostics, exception-safe submission, and a miniWeather chaos soak.
+// blacklisting with re-routing (plain tasks, tiled Cholesky, launch(),
+// graph epochs after the loss of device 0), OOM diagnostics, exception-safe
+// submission, and a miniWeather chaos soak.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -454,6 +455,61 @@ TEST(FaultInjection, LaunchReductionSurvivesDeviceLoss) {
   EXPECT_TRUE(rep.ok()) << rep.to_string();
   EXPECT_EQ(rep.devices_blacklisted, 1u);
   EXPECT_DOUBLE_EQ(sum[0], double(n) * double(n + 1) / 2.0);
+}
+
+// Graph backend: epochs launch on one serializing stream, created on
+// device 0. Once device 0 is lost, every later epoch must still launch on
+// a survivor.
+TEST(FaultInjection, GraphEpochsLaunchAfterDeviceZeroLoss) {
+  cudasim::scoped_platform sp(2, tdesc());
+  cudasim::platform& p = sp.get();
+  p.fail_device(0);  // before any work
+  context ctx = context::graph(p);
+  double y[1] = {0.0};
+  auto ly = ctx.logical_data(y, "y");
+  ctx.host_launch(ly.write())->*[](slice<double> v) { v(0) = 7.0; };
+  ctx.task(exec_place::device(1), ly.rw())->*
+      [&p](cudasim::stream& s, slice<double> v) {
+        p.launch_kernel(s, {.name = "inc"}, [=] { v(0) += 1.0; });
+      };
+  const error_report rep = ctx.finalize();
+  EXPECT_TRUE(rep.ok()) << rep.to_string();
+  EXPECT_DOUBLE_EQ(y[0], 8.0);
+}
+
+// Graph backend, checkpointing armed: device 0 fail-stops at the launch of
+// the final epoch. finalize() restarts the epoch on device 1 and its second
+// fence must launch there too.
+TEST(FaultInjection, GraphFinalizeRestartAfterDeviceZeroLoss) {
+  cudasim::scoped_platform sp(2, tdesc());
+  cudasim::platform& p = sp.get();
+  context ctx = context::graph(p);
+  ctx.set_retry_policy({.max_attempts = 1});
+  ctx.enable_checkpointing();  // committed snapshot = registration contents
+  constexpr std::size_t n = 8;
+  std::vector<double> y(n);
+  std::iota(y.begin(), y.end(), 0.0);
+  auto ly = ctx.logical_data(y.data(), n, "y");
+  ctx.task(exec_place::device(0), ly.rw())->*
+      [&p](cudasim::stream& s, slice<double> v) {
+        p.launch_kernel(s, {.name = "inc"}, [=] {
+          for (std::size_t i = 0; i < v.size(); ++i) {
+            v(i) += 1.0;
+          }
+        });
+      };
+  // Device 0 fail-stops at the first platform op of finalize().
+  auto& fi = p.ensure_fault_injector();
+  fi.schedule({.kind = cudasim::fault_kind::device_fail,
+               .device = 0,
+               .at_op = fi.ops_seen() + 1});
+  const error_report rep = ctx.finalize();
+  EXPECT_TRUE(rep.ok()) << rep.to_string();
+  EXPECT_EQ(rep.devices_blacklisted, 1u);
+  EXPECT_GE(ctx.stats().tasks_replayed, 1u);
+  for (std::size_t i = 0; i < n; ++i) {
+    ASSERT_DOUBLE_EQ(y[i], double(i) + 1.0) << i;
+  }
 }
 
 // --- miniWeather chaos soak ---
