@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 verification: configure, build, run the full test suite, then the
 # Table I task-overhead benchmark in JSON mode, and the Fig. 3 out-of-core,
-# Table II reduction and chaos benchmarks, whose JSON must equal
-# BENCH_fig3.json, BENCH_table2.json and BENCH_chaos.json byte for byte.
+# Table II reduction, chaos and Fig. 10 graph-backend benchmarks, whose JSON
+# must equal BENCH_fig3.json, BENCH_table2.json, BENCH_chaos.json and
+# BENCH_fig10.json byte for byte.
 # Exits nonzero on any failure.
 # Usage: scripts/tier1.sh [--sanitize] [--tsan] [--bench-smoke] [--chaos]
 #                         [build-dir]
@@ -66,11 +67,13 @@ timeout --signal=KILL "${TIER1_CTEST_TIMEOUT:-600}" \
 # Virtual-time gates: every field of these JSON outputs is virtual time or
 # a count, so each must match its checked-in baseline byte for byte. Any
 # drift of the out-of-core victim policy (Fig. 3), the reduction planner
-# (Table II) or the recovery ladders (chaos) fails the run.
+# (Table II), the recovery ladders (chaos) or graph-epoch memoization
+# (Fig. 10) fails the run.
 for pair in \
   "bench_fig3_oom_cholesky:BENCH_fig3.json" \
   "bench_table2_reduction:BENCH_table2.json" \
-  "bench_chaos:BENCH_chaos.json"; do
+  "bench_chaos:BENCH_chaos.json" \
+  "bench_fig10_miniweather_graphs:BENCH_fig10.json"; do
   bench="${pair%%:*}"
   if ! "$build/bench/$bench" --json | cmp - "$repo/${pair##*:}"; then
     echo "tier1: $bench --json differs from ${pair##*:}" >&2
@@ -92,7 +95,8 @@ if [[ "$bench_smoke" == 1 ]]; then
     "bench_table1_task_overhead:BENCH_table1.json" \
     "bench_fig3_oom_cholesky:BENCH_fig3.json" \
     "bench_table2_reduction:BENCH_table2.json" \
-    "bench_chaos:BENCH_chaos.json"; do
+    "bench_chaos:BENCH_chaos.json" \
+    "bench_fig10_miniweather_graphs:BENCH_fig10.json"; do
     bench="${pair%%:*}"
     baseline="$repo/${pair##*:}"
     out="$smoke_dir/$bench.json"

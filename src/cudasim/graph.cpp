@@ -13,85 +13,78 @@ constexpr double instantiate_cost_per_node = 5.0e-6;  // seconds of host time
 constexpr double update_cost_per_node = 0.5e-6;       // ~10x cheaper (paper §III-B)
 }  // namespace
 
-graph_node graph::push(node n) {
-  for (std::uint32_t d : n.deps) {
-    if (d >= nodes_.size()) {
+void graph::check(graph_deps deps) const {
+  for (graph_node d : deps) {
+    if (!d.valid()) {
+      throw std::invalid_argument("cudasim: invalid graph node handle");
+    }
+    if (d.index >= nodes_.size()) {
       throw std::out_of_range("cudasim: graph dependency on unknown node");
     }
+  }
+}
+
+graph_node graph::push(node&& n, graph_deps deps) {
+  check(deps);
+  n.dep_begin = static_cast<std::uint32_t>(edges_.size());
+  n.dep_count = static_cast<std::uint32_t>(deps.size);
+  for (graph_node d : deps) {
+    edges_.push_back(d.index);
   }
   nodes_.push_back(std::move(n));
   return graph_node{static_cast<std::uint32_t>(nodes_.size() - 1)};
 }
 
-namespace {
-std::vector<std::uint32_t> to_indices(const std::vector<graph_node>& deps) {
-  std::vector<std::uint32_t> out;
-  out.reserve(deps.size());
-  for (graph_node d : deps) {
-    if (!d.valid()) {
-      throw std::invalid_argument("cudasim: invalid graph node handle");
-    }
-    out.push_back(d.index);
-  }
-  return out;
-}
-}  // namespace
-
-graph_node graph::add_empty_node(const std::vector<graph_node>& deps) {
+graph_node graph::add_empty_node(graph_deps deps) {
   node n;
   n.kind = graph_node_kind::empty;
-  n.deps = to_indices(deps);
-  return push(std::move(n));
+  return push(std::move(n), deps);
 }
 
-graph_node graph::add_kernel_node(const std::vector<graph_node>& deps, int device,
-                                  kernel_desc k, std::function<void()> body) {
+graph_node graph::add_kernel_node(graph_deps deps, int device, kernel_desc k,
+                                  std::function<void()> body) {
   node n;
   n.kind = graph_node_kind::kernel;
-  n.deps = to_indices(deps);
   n.device = device;
   n.kdesc = std::move(k);
   n.body = std::move(body);
-  return push(std::move(n));
+  return push(std::move(n), deps);
 }
 
-graph_node graph::add_memcpy_node(const std::vector<graph_node>& deps, void* dst,
-                                  const void* src, std::size_t bytes,
-                                  memcpy_kind kind, int device) {
+graph_node graph::add_memcpy_node(graph_deps deps, void* dst, const void* src,
+                                  std::size_t bytes, memcpy_kind kind,
+                                  int device) {
   node n;
   n.kind = graph_node_kind::memcpy;
-  n.deps = to_indices(deps);
   n.device = device;
   n.dst = dst;
   n.src = src;
   n.bytes = bytes;
   n.ckind = kind;
-  return push(std::move(n));
+  return push(std::move(n), deps);
 }
 
-graph_node graph::add_memcpy_peer_node(const std::vector<graph_node>& deps,
-                                       void* dst, int dst_device,
-                                       const void* src, int src_device,
-                                       std::size_t bytes) {
+graph_node graph::add_memcpy_peer_node(graph_deps deps, void* dst,
+                                       int dst_device, const void* src,
+                                       int src_device, std::size_t bytes) {
   if (dst_device == src_device) {
     return add_memcpy_node(deps, dst, src, bytes,
                            memcpy_kind::device_to_device, src_device);
   }
   node n;
   n.kind = graph_node_kind::memcpy;
-  n.deps = to_indices(deps);
   n.device = src_device;
   n.peer = dst_device;
   n.dst = dst;
   n.src = src;
   n.bytes = bytes;
   n.ckind = memcpy_kind::device_to_device;
-  return push(std::move(n));
+  return push(std::move(n), deps);
 }
 
-graph_node graph::add_mem_alloc_node(const std::vector<graph_node>& deps,
-                                     int device, std::size_t bytes,
-                                     void** out_ptr) {
+graph_node graph::add_mem_alloc_node(graph_deps deps, int device,
+                                     std::size_t bytes, void** out_ptr) {
+  check(deps);  // a bad handle must not leave a reservation behind
   void* p = plat_->pool_reserve(device, bytes);
   *out_ptr = p;
   if (p == nullptr) {
@@ -100,15 +93,14 @@ graph_node graph::add_mem_alloc_node(const std::vector<graph_node>& deps,
   owned_allocs_.emplace_back(device, p);
   node n;
   n.kind = graph_node_kind::mem_alloc;
-  n.deps = to_indices(deps);
   n.device = device;
   n.dst = p;
   n.bytes = bytes;
-  return push(std::move(n));
+  return push(std::move(n), deps);
 }
 
-graph_node graph::add_mem_free_node(const std::vector<graph_node>& deps,
-                                    int device, void* ptr) {
+graph_node graph::add_mem_free_node(graph_deps deps, int device,
+                                    void* ptr) {
   const bool owned =
       std::any_of(owned_allocs_.begin(), owned_allocs_.end(),
                   [&](const auto& a) { return a.second == ptr; });
@@ -118,20 +110,18 @@ graph_node graph::add_mem_free_node(const std::vector<graph_node>& deps,
   }
   node n;
   n.kind = graph_node_kind::mem_free;
-  n.deps = to_indices(deps);
   n.device = device;
   n.dst = ptr;
-  return push(std::move(n));
+  return push(std::move(n), deps);
 }
 
-graph_node graph::add_host_node(const std::vector<graph_node>& deps,
-                                std::function<void()> fn, double cost) {
+graph_node graph::add_host_node(graph_deps deps, std::function<void()> fn,
+                                double cost) {
   node n;
   n.kind = graph_node_kind::host;
-  n.deps = to_indices(deps);
   n.body = std::move(fn);
   n.host_cost = cost;
-  return push(std::move(n));
+  return push(std::move(n), deps);
 }
 
 void graph::release_resources() {
@@ -141,23 +131,34 @@ void graph::release_resources() {
   owned_allocs_.clear();
 }
 
-graph_exec::graph_exec(const graph& g) : plat_(&g.owner()), nodes_(g.nodes_) {
+void graph::clear() {
+  release_resources();
+  nodes_.clear();
+  edges_.clear();
+}
+
+graph_exec::graph_exec(const graph& g)
+    : plat_(&g.owner()), nodes_(g.nodes_), edges_(g.edges_) {
   last_build_cost_ = instantiate_cost_per_node * static_cast<double>(nodes_.size());
 }
 
-bool graph_exec::update(const graph& g) {
-  if (&g.owner() != plat_ || g.nodes_.size() != nodes_.size()) {
+bool graph_exec::update(graph& g) {
+  if (&g.owner() != plat_ || g.nodes_.size() != nodes_.size() ||
+      g.edges_ != edges_) {
     return false;
   }
+  // Equal edge arrays plus equal per-node dep counts mean equal dep lists.
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
     const graph::node& a = nodes_[i];
     const graph::node& b = g.nodes_[i];
     if (a.kind != b.kind || a.device != b.device || a.peer != b.peer ||
-        a.deps != b.deps) {
+        a.dep_count != b.dep_count) {
       return false;
     }
   }
-  nodes_ = g.nodes_;  // parameter swap (kernel args, copy endpoints, bodies)
+  // Parameter swap (kernel args, copy endpoints, bodies): take the
+  // template's nodes and hand it ours, whose storage it reuses once cleared.
+  nodes_.swap(g.nodes_);
   last_build_cost_ = update_cost_per_node * static_cast<double>(nodes_.size());
   return true;
 }
@@ -192,8 +193,18 @@ void graph_exec::launch(stream& s) {
     return;
   }
   timeline& tl = plat_->tl();
-  std::vector<op_node*> created(nodes_.size(), nullptr);
-  std::vector<bool> has_succ(nodes_.size(), false);
+  created_.assign(nodes_.size(), nullptr);
+  has_succ_.assign(nodes_.size(), 0);
+  // Orders `op` behind node n's deps, or behind the stream when it has none.
+  const auto wire = [&](const graph::node& n, op_node* op) {
+    if (n.dep_count == 0) {
+      timeline::add_dep(s.last(), op);
+    }
+    for (std::uint32_t e = n.dep_begin; e < n.dep_begin + n.dep_count; ++e) {
+      timeline::add_dep(created_[edges_[e]], op);
+      has_succ_[edges_[e]] = 1;
+    }
+  };
 
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
     const graph::node& n = nodes_[i];
@@ -241,16 +252,8 @@ void graph_exec::launch(stream& s) {
                                       std::move(body));
           op_node* in = tl.make_node("graph.memcpyPeerDst", n.peer,
                                      &plat_->device(n.peer).copy_in(), dur);
-          if (n.deps.empty()) {
-            timeline::add_dep(s.last(), out);
-            timeline::add_dep(s.last(), in);
-          } else {
-            for (std::uint32_t d : n.deps) {
-              timeline::add_dep(created[d], out);
-              timeline::add_dep(created[d], in);
-              has_succ[d] = true;
-            }
-          }
+          wire(n, out);
+          wire(n, in);
           tl.submit(out);
           tl.submit(in);
           op = tl.make_node("graph.memcpyPeer", dev, nullptr, 0.0);
@@ -277,16 +280,9 @@ void graph_exec::launch(stream& s) {
         break;
     }
     if (!wired) {
-      if (n.deps.empty()) {
-        timeline::add_dep(s.last(), op);
-      } else {
-        for (std::uint32_t d : n.deps) {
-          timeline::add_dep(created[d], op);
-          has_succ[d] = true;
-        }
-      }
+      wire(n, op);
     }
-    created[i] = op;
+    created_[i] = op;
     tl.submit(op);
   }
 
@@ -294,8 +290,8 @@ void graph_exec::launch(stream& s) {
   op_node* join = tl.make_node("graph.join", s.device(), nullptr, 0.0);
   timeline::add_dep(s.last(), join);
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    if (!has_succ[i]) {
-      timeline::add_dep(created[i], join);
+    if (has_succ_[i] == 0) {
+      timeline::add_dep(created_[i], join);
     }
   }
   s.set_last(join);

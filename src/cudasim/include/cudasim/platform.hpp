@@ -172,11 +172,6 @@ class platform {
   /// Creates an injector if none is installed and returns it for scheduling.
   fault_injector& ensure_fault_injector();
   fault_injector* injector() const { return injector_.get(); }
-  /// Lock-free (the STF fast path consults it per task without the driver
-  /// lock); tracks injector_ through an atomic mirror.
-  bool has_injector() const {
-    return has_injector_.load(std::memory_order_acquire);
-  }
 
   /// Marks a device as permanently failed (fail-stop at submission). Also
   /// fired by the injector on device_fail events. Idempotent.
@@ -335,7 +330,6 @@ class platform {
   /// Head of the intrusive list of live events; guarded by events_mu_.
   event* events_ = nullptr;
   std::shared_ptr<fault_injector> injector_;
-  std::atomic<bool> has_injector_{false};
   bool alloc_fault_pending_ = false;
   std::atomic<bool> faults_armed_{false};
   bool any_device_failed_ = false;

@@ -23,6 +23,12 @@ class platform;
 class graph;
 class event;
 
+/// Opaque handle to a node inside a graph template.
+struct graph_node {
+  std::uint32_t index = UINT32_MAX;
+  bool valid() const { return index != UINT32_MAX; }
+};
+
 /// An in-order queue of asynchronous operations on one device
 /// (cudaStream_t). Streams are movable handles; destroying a stream does
 /// not wait for its work (as in CUDA).
@@ -85,8 +91,9 @@ class stream {
   void drop_completed();  ///< forget last_ if it already completed
   /// Internal: monotone per-stream counter stamped onto recorded events.
   std::uint64_t next_record_seq() { return ++record_seq_; }
-  // Internal: capture bookkeeping (nodes this stream's capture tail).
-  void* capture_tail_ = nullptr;
+  // Internal: capture bookkeeping, the node the next captured op chains
+  // behind (invalid while nothing has been captured).
+  graph_node capture_tail_;
 
  private:
   platform* plat_;

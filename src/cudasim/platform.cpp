@@ -90,19 +90,10 @@ bool pick_live_alloc(const std::unordered_map<void*, device_state::alloc_info>&
   return true;
 }
 
-// Capture helpers: while a stream captures, submissions are appended to the
-// capture graph, chained behind the stream's capture tail.
-std::vector<graph_node> capture_deps(stream& s) {
-  const auto tail = reinterpret_cast<std::uintptr_t>(s.capture_tail_);
-  if (tail == 0) {
-    return {};
-  }
-  return {graph_node{static_cast<std::uint32_t>(tail - 1)}};
-}
-
-void set_capture_tail(stream& s, graph_node n) {
-  s.capture_tail_ =
-      reinterpret_cast<void*>(static_cast<std::uintptr_t>(n.index) + 1);
+// Capture helper: while a stream captures, submissions are appended to the
+// capture graph, chained behind the stream's capture tail (if any).
+graph_deps capture_deps(const stream& s) {
+  return {&s.capture_tail_, s.capture_tail_.valid() ? 1u : 0u};
 }
 
 }  // namespace
@@ -157,8 +148,8 @@ void platform::launch_kernel(stream& s, const kernel_desc& k,
   }
   if (s.capturing()) {
     graph* g = s.capture_graph();
-    set_capture_tail(
-        s, g->add_kernel_node(capture_deps(s), s.device(), k, std::move(body)));
+    s.capture_tail_ =
+        g->add_kernel_node(capture_deps(s), s.device(), k, std::move(body));
     return;
   }
   device_state& dev = device(s.device());
@@ -249,7 +240,7 @@ void platform::memcpy_async(void* dst, const void* src, std::size_t n,
         }
       });
     }
-    set_capture_tail(s, node);
+    s.capture_tail_ = node;
     return;
   }
   const copy_plan plan = plan_copy(s.device(), n, kind);
@@ -338,7 +329,7 @@ void platform::memcpy_peer_async(void* dst, int dst_device, const void* src,
         }
       });
     }
-    set_capture_tail(s, node);
+    s.capture_tail_ = node;
     return;
   }
   device_state& sdev = device(src_device);
@@ -428,7 +419,7 @@ void* platform::malloc_async(std::size_t bytes, stream& s) {
     graph* g = s.capture_graph();
     graph_node n = g->add_mem_alloc_node(capture_deps(s), s.device(), bytes, &out);
     if (n.valid()) {
-      set_capture_tail(s, n);
+      s.capture_tail_ = n;
     }
     return out;
   }
@@ -460,7 +451,7 @@ void platform::free_async(void* p, stream& s) {
   }
   if (s.capturing()) {
     graph* g = s.capture_graph();
-    set_capture_tail(s, g->add_mem_free_node(capture_deps(s), s.device(), p));
+    s.capture_tail_ = g->add_mem_free_node(capture_deps(s), s.device(), p);
     return;
   }
   std::lock_guard lock(mu_);
@@ -537,7 +528,7 @@ void platform::launch_host_func(stream& s, std::function<void()> fn,
                                 double cost) {
   if (s.capturing()) {
     graph* g = s.capture_graph();
-    set_capture_tail(s, g->add_host_node(capture_deps(s), std::move(fn), cost));
+    s.capture_tail_ = g->add_host_node(capture_deps(s), std::move(fn), cost);
     return;
   }
   std::lock_guard lock(mu_);
@@ -552,7 +543,6 @@ void platform::launch_host_func(stream& s, std::function<void()> fn,
 void platform::set_fault_injector(std::shared_ptr<fault_injector> fi) {
   std::lock_guard lock(mu_);
   injector_ = std::move(fi);
-  has_injector_.store(injector_ != nullptr, std::memory_order_release);
   faults_armed_.store(injector_ != nullptr || any_device_failed_,
                       std::memory_order_release);
 }
@@ -562,7 +552,6 @@ fault_injector& platform::ensure_fault_injector() {
   if (!injector_) {
     injector_ = std::make_shared<fault_injector>();
   }
-  has_injector_.store(true, std::memory_order_release);
   faults_armed_.store(true, std::memory_order_release);
   return *injector_;
 }

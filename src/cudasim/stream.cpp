@@ -109,13 +109,13 @@ void stream::begin_capture(graph& g) {
     throw std::logic_error("cudasim: stream already capturing");
   }
   capture_ = &g;
-  capture_tail_ = nullptr;
+  capture_tail_ = {};
 }
 
 graph* stream::end_capture() {
   graph* g = capture_;
   capture_ = nullptr;
-  capture_tail_ = nullptr;
+  capture_tail_ = {};
   return g;
 }
 

@@ -26,25 +26,9 @@ std::uint64_t fnv_str(std::uint64_t h, std::string_view s) {
   return h;
 }
 
-// The capture tail is stored in the stream as (index + 1), 0 meaning none —
-// the same encoding the platform capture path uses.
-cudasim::graph_node get_tail(cudasim::stream& s) {
-  const auto v = reinterpret_cast<std::uintptr_t>(s.capture_tail_);
-  if (v == 0) {
-    return {};
-  }
-  return cudasim::graph_node{static_cast<std::uint32_t>(v - 1)};
-}
-
-void set_tail(cudasim::stream& s, cudasim::graph_node n) {
-  s.capture_tail_ = n.valid()
-      ? reinterpret_cast<void*>(static_cast<std::uintptr_t>(n.index) + 1)
-      : nullptr;
-}
-
 }  // namespace
 
-graph_backend::graph_backend(cudasim::platform& p) : plat_(&p) {
+graph_backend::graph_backend(cudasim::platform& p) : plat_(&p), graph_(p) {
   epoch_stream_ = std::make_unique<cudasim::stream>(p, 0);
   host_capture_ = std::make_unique<cudasim::stream>(p, 0);
   for (int d = 0; d < p.device_count(); ++d) {
@@ -54,14 +38,14 @@ graph_backend::graph_backend(cudasim::platform& p) : plat_(&p) {
 }
 
 void graph_backend::ensure_epoch() {
-  if (cur_) {
+  if (open_) {
     return;
   }
-  cur_ = std::make_unique<cudasim::graph>(*plat_);
+  open_ = true;
   for (auto& s : capture_) {
-    s->begin_capture(*cur_);
+    s->begin_capture(graph_);
   }
-  host_capture_->begin_capture(*cur_);
+  host_capture_->begin_capture(graph_);
   summary_ = 1469598103934665603ull;
   external_deps_.clear();
 }
@@ -74,11 +58,11 @@ event_ptr graph_backend::run(int device, channel ch, const event_list& deps,
       ch == channel::host ? *host_capture_
                           : *capture_.at(static_cast<std::size_t>(device));
 
-  std::vector<cudasim::graph_node> dep_nodes;
+  dep_nodes_.clear();
   for (const event_ptr& e : deps) {
     if (auto* ge = as_graph_event(e)) {
       if (ge->epoch == epoch_) {
-        dep_nodes.push_back(ge->node);
+        dep_nodes_.push_back(ge->node);
       }
       // Nodes of flushed epochs are ordered by the epoch stream: drop.
     } else if (as_stream_event(e) != nullptr) {
@@ -88,17 +72,17 @@ event_ptr graph_backend::run(int device, channel ch, const event_list& deps,
       throw std::logic_error("cudastf: foreign event kind in graph backend");
     }
   }
-  stats_.deps_wired += dep_nodes.size();
+  stats_.deps_wired += dep_nodes_.size();
 
   cudasim::graph_node tail;
-  if (dep_nodes.size() == 1) {
-    tail = dep_nodes.front();
-  } else if (dep_nodes.size() > 1) {
-    tail = cur_->add_empty_node(dep_nodes);
+  if (dep_nodes_.size() == 1) {
+    tail = dep_nodes_.front();
+  } else if (dep_nodes_.size() > 1) {
+    tail = graph_.add_empty_node(dep_nodes_);
   }
-  set_tail(s, tail);
+  s.capture_tail_ = tail;
   payload(s);
-  const cudasim::graph_node out = get_tail(s);
+  const cudasim::graph_node out = s.capture_tail_;
 
   // Fault harvesting: a refused capture-time submission leaves a sticky
   // status on the capture stream and records nothing. If the capture tail
@@ -145,16 +129,16 @@ event_ptr graph_backend::run(int device, channel ch, const event_list& deps,
 }
 
 void graph_backend::flush() {
-  if (!cur_) {
+  if (!open_) {
     return;
   }
   for (auto& s : capture_) {
     s->end_capture();
   }
   host_capture_->end_capture();
-  std::unique_ptr<cudasim::graph> g = std::move(cur_);
+  open_ = false;
   ++epoch_;
-  if (g->node_count() == 0) {
+  if (graph_.node_count() == 0) {
     return;
   }
 
@@ -163,24 +147,20 @@ void graph_backend::flush() {
   cudasim::graph_exec* exec = nullptr;
   auto& bucket = cache_[summary_];
   for (auto& candidate : bucket) {
-    if (candidate.exec->update(*g)) {
-      exec = candidate.exec.get();
-      candidate.last_use = ++lru_tick_;
+    if (candidate->update(graph_)) {
+      exec = candidate.get();
       ++stats_.graph_updates;
       break;
     }
   }
   if (exec == nullptr) {
-    bucket.push_back({std::make_unique<cudasim::graph_exec>(*g), ++lru_tick_});
-    exec = bucket.back().exec.get();
+    bucket.push_back(std::make_unique<cudasim::graph_exec>(graph_));
+    exec = bucket.back().get();
     ++stats_.graph_instantiations;
-    ++cache_size_;
-    // The new entry carries the max tick, so with cap >= 1 it is never the
-    // victim of its own insertion.
-    while (cache_size_ > cache_cap_) {
-      evict_lru();
-    }
   }
+  // The exec owns the epoch's nodes now; empty the template for the next
+  // epoch, which also returns its alloc nodes' pool reservations.
+  graph_.clear();
 
   const int home = epoch_stream_->device();
   if (plat_->faults_armed() && plat_->device_failed(home)) [[unlikely]] {
@@ -268,46 +248,6 @@ void graph_backend::launch_refused(cudasim::graph_exec& exec) {
   throw detail::transfer_error(st);
 }
 
-void graph_backend::evict_lru() {
-  // Global min-tick scan across buckets: the cache is small (it exists to
-  // bound memory, not to be huge), so a linear scan beats maintaining an
-  // intrusive LRU list that instantiation/update would have to splice.
-  std::uint64_t best = ~0ull;
-  std::vector<cached_exec>* victim_bucket = nullptr;
-  std::size_t victim_idx = 0;
-  std::uint64_t victim_key = 0;
-  for (auto& [key, bucket] : cache_) {
-    for (std::size_t i = 0; i < bucket.size(); ++i) {
-      if (bucket[i].last_use < best) {
-        best = bucket[i].last_use;
-        victim_bucket = &bucket;
-        victim_idx = i;
-        victim_key = key;
-      }
-    }
-  }
-  if (victim_bucket == nullptr) {
-    return;
-  }
-  // Destroying the exec releases its pooled nodes back to the platform;
-  // already-launched epochs are unaffected (launch copied the bodies).
-  std::swap((*victim_bucket)[victim_idx], victim_bucket->back());
-  victim_bucket->pop_back();
-  if (victim_bucket->empty()) {
-    cache_.erase(victim_key);
-  }
-  --cache_size_;
-  ++stats_.graph_execs_evicted;
-}
-
-void graph_backend::set_exec_cache_capacity(std::size_t n) {
-  cache_cap_ = n < 1 ? 1 : n;  // an uncacheable backend would re-instantiate
-                               // every epoch; keep at least the live one
-  while (cache_size_ > cache_cap_) {
-    evict_lru();
-  }
-}
-
 void graph_backend::fence() { flush(); }
 
 void* graph_backend::alloc_device(int device, std::size_t bytes,
@@ -329,7 +269,7 @@ graph_backend::graph_dep_scan graph_backend::scan_graph_deps(
   for (const event_ptr& e : deps) {
     if (auto* ge = as_graph_event(e)) {
       r.any = true;
-      if (cur_ != nullptr && ge->epoch == epoch_) {
+      if (open_ && ge->epoch == epoch_) {
         r.current = true;
         break;
       }

@@ -88,9 +88,6 @@ struct backend_stats {
   /// Whole-epoch graph launches that were refused by a transient fault and
   /// relaunched in place (a refused launch enqueues none of its nodes).
   std::uint64_t graph_launch_retries = 0;
-  /// Memoized executables destroyed by the graph-exec cache's LRU cap
-  /// (ctx.set_graph_cache_capacity()).
-  std::uint64_t graph_execs_evicted = 0;
 
   // --- integrity engine (DESIGN.md §10) ---
   /// Content checksums computed at write-release (one per writing task).
@@ -180,10 +177,6 @@ class backend_iface {
   /// graph backend applies it to refused epoch relaunches. Default: ignore.
   virtual void set_retry_policy(const retry_policy&) {}
 
-  /// Caps the backend's memoized-executable cache (graph backend; evicts
-  /// down immediately, least recently launched first). Default: ignore.
-  virtual void set_exec_cache_capacity(std::size_t) {}
-
   /// Counter snapshot. Every counter increments under the context lock;
   /// read while quiescent (tests read stats after joining workers).
   const backend_stats& stats() const { return stats_; }
@@ -251,7 +244,6 @@ class graph_backend final : public backend_iface {
   void wait_idle() override;
 
   void set_retry_policy(const retry_policy& p) override { retry_ = p; }
-  void set_exec_cache_capacity(std::size_t n) override;
 
  private:
   /// One pass over a dependency list: whether it mentions graph nodes at
@@ -278,25 +270,19 @@ class graph_backend final : public backend_iface {
   std::unique_ptr<cudasim::stream> host_capture_;          ///< host-channel capture
   std::vector<std::unique_ptr<cudasim::stream>> alloc_;    ///< real alloc streams
 
-  std::unique_ptr<cudasim::graph> cur_;      ///< epoch under construction
-  std::uint64_t epoch_ = 0;                  ///< id of epoch under construction
+  /// The one capture graph, rebuilt every epoch and cleared after it.
+  cudasim::graph graph_;
+  bool open_ = false;         ///< an epoch is under construction in graph_
+  std::uint64_t epoch_ = 0;   ///< id of epoch under construction
   std::uint64_t summary_ = 1469598103934665603ull;  ///< FNV accumulator
   event_list external_deps_;  ///< real-stream events the epoch launch waits on
-  /// Memoization cache: summary hash -> executables with that summary, each
-  /// stamped with a launch tick for LRU eviction at cache_cap_. Evicting a
-  /// launched executable is safe: graph_exec::launch copies node bodies
-  /// into the DES, so in-flight epochs never reference the exec again.
-  struct cached_exec {
-    std::unique_ptr<cudasim::graph_exec> exec;
-    std::uint64_t last_use = 0;
-  };
-  std::unordered_map<std::uint64_t, std::vector<cached_exec>> cache_;
-  std::size_t cache_size_ = 0;   ///< total executables across all buckets
-  std::size_t cache_cap_ = 64;   ///< LRU cap (set_exec_cache_capacity)
-  std::uint64_t lru_tick_ = 0;   ///< monotonic launch clock
-  /// Destroys the least recently launched executable (releases its pooled
-  /// nodes) and counts it in graph_execs_evicted.
-  void evict_lru();
+  /// run()'s current-epoch dependency nodes (scratch; every call arrives
+  /// under the context lock).
+  std::vector<cudasim::graph_node> dep_nodes_;
+  /// Memoization cache: summary hash -> executables with that summary.
+  std::unordered_map<std::uint64_t,
+                     std::vector<std::unique_ptr<cudasim::graph_exec>>>
+      cache_;
   retry_policy retry_;  ///< governs refused-epoch relaunch attempts/backoff
   std::shared_ptr<backend_event> last_epoch_done_;  ///< stream_event of last flush
 };

@@ -229,7 +229,6 @@ class context {
   /// Canonicalizes multi-threaded submission order (see parallel_submit).
   /// Set while quiescent — not from inside a worker.
   void set_deterministic_order(bool on) { st_->deterministic_order = on; }
-  bool deterministic_order() const { return st_->deterministic_order; }
 
   // --- synchronization ---
 
@@ -310,12 +309,6 @@ class context {
     st_->ensure_dl().limits = lim;
   }
 
-  /// Hang strikes a device survives before quarantine (default 2).
-  void set_quarantine_after(int strikes) {
-    std::lock_guard lock(st_->mu);
-    st_->ensure_dl().quarantine_after = strikes;
-  }
-
   /// The deadline monitor, or nullptr while hang recovery is disarmed
   /// (introspection).
   const deadline_monitor* hang_recovery() const { return st_->dl.get(); }
@@ -337,13 +330,6 @@ class context {
         st_->ckpt->on_register(d);
       }
     }
-  }
-
-  /// Drops the checkpoint manager (snapshots, submission log, restart
-  /// budget). Outstanding snapshot copies are drained first.
-  void disable_checkpointing() {
-    std::lock_guard lock(st_->mu);
-    st_->ckpt.reset();
   }
 
   /// Takes an explicit epoch checkpoint now (see checkpoint_manager::
@@ -449,14 +435,6 @@ class context {
   }
 
   // --- configuration & introspection ---
-
-  /// Caps the graph backend's memoized-executable cache (least recently
-  /// launched epochs are destroyed first, counted in stats().
-  /// graph_execs_evicted). No-op on the stream backend.
-  void set_graph_cache_capacity(std::size_t n) {
-    std::lock_guard lock(st_->mu);
-    st_->backend->set_exec_cache_capacity(n);
-  }
 
   /// When disabled, kernel bodies are skipped: virtual-time benchmarking at
   /// paper scale without host-side numerics (see DESIGN.md §1).

@@ -167,14 +167,16 @@ struct context_state {
   /// Per-device blacklist flags (1 = permanently failed, do not submit).
   std::vector<std::uint8_t> blacklisted;
 
-  /// Set once any failure has been recorded; together with an armed fault
-  /// injector this routes submissions through the recovery slow path.
+  /// Set once any failure has been recorded; together with armed platform
+  /// faults this routes submissions through the recovery slow path.
   bool recovery_active = false;
 
-  /// True when submissions must take the fault-aware slow path. Fault-free
-  /// runs with no injector keep the exact pre-existing fast path.
+  /// True when submissions must take the fault-aware slow path: a failure
+  /// was recorded, an injector is installed or a device has failed (through
+  /// the injector or platform::fail_device()). Fault-free runs keep the
+  /// exact pre-existing fast path.
   bool fault_aware() const {
-    return recovery_active || (plat != nullptr && plat->has_injector());
+    return recovery_active || (plat != nullptr && plat->faults_armed());
   }
 
   bool device_blacklisted(int device) const {

@@ -108,7 +108,7 @@ class deadline_monitor {
   /// Hang strikes on one device before it is quarantined (blacklisted and
   /// re-routed around) — one wedged op may be bad luck, a pattern is a bad
   /// device.
-  int quarantine_after = 2;
+  static constexpr int quarantine_after = 2;
 
   /// The effective relative deadline for a submission that asked for
   /// `requested` (0 = didn't ask).

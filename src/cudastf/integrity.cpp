@@ -357,7 +357,9 @@ output_hint_guard::output_hint_guard(context_state& st,
                                      const task_dep_untyped* const* deps,
                                      std::size_t n,
                                      const data_place* resolved) {
-  if (st.plat == nullptr || !st.plat->has_injector() ||
+  // Hints only steer an injector's output flips; with a device failed but
+  // no injector installed they are set and never read.
+  if (st.plat == nullptr || !st.plat->faults_armed() ||
       !st.plat->copy_payloads()) {
     return;
   }

@@ -3,6 +3,7 @@
 // latency advantage over stream launch.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <vector>
 
 #include "cudasim/cudasim.hpp"
@@ -137,6 +138,122 @@ TEST(Graph, ExecUpdateRejectsDifferentTopology) {
   g3.add_kernel_node({}, 0, {.name = "a"}, {});
   g3.add_kernel_node({}, 0, {.name = "b"}, {});
   EXPECT_FALSE(exec.update(g3));
+}
+
+// Builds a -> b into `g`, both bodies counting into `hits`.
+void build_chain(graph& g, int& hits) {
+  auto a = g.add_kernel_node({}, 0, {.name = "a"}, [&hits] { ++hits; });
+  g.add_kernel_node({a}, 0, {.name = "b"}, [&hits] { ++hits; });
+}
+
+TEST(Graph, UpdatedExecRunsOnlyNewestBodiesOncePerLaunch) {
+  platform p(1, gdesc());
+  int hits[3] = {};
+  graph g0(p);
+  build_chain(g0, hits[0]);
+  graph_exec exec(g0);
+  graph g1(p);
+  build_chain(g1, hits[1]);
+  graph g2(p);
+  build_chain(g2, hits[2]);
+  stream s(p);
+  ASSERT_TRUE(exec.update(g1));
+  exec.launch(s);
+  ASSERT_TRUE(exec.update(g2));
+  exec.launch(s);
+  exec.launch(s);
+  s.synchronize();
+  EXPECT_EQ(hits[0], 0);
+  EXPECT_EQ(hits[1], 2);  // one launch of the two-node chain
+  EXPECT_EQ(hits[2], 4);  // two launches
+  EXPECT_EQ(exec.launches(), 3u);
+}
+
+TEST(Graph, ClearedTemplateRebuildsAndUpdatesAgain) {
+  platform p(1, gdesc());
+  graph g(p);
+  int hits[4] = {};
+  build_chain(g, hits[0]);
+  graph_exec exec(g);
+  g.clear();
+  EXPECT_EQ(g.node_count(), 0u);
+  stream s(p);
+  for (int round = 1; round < 4; ++round) {
+    build_chain(g, hits[round]);
+    ASSERT_TRUE(exec.update(g)) << round;
+    g.clear();  // holds the exec's previous nodes after the swap
+    exec.launch(s);
+  }
+  s.synchronize();
+  EXPECT_EQ(hits[0], 0);
+  EXPECT_EQ(hits[1], 2);
+  EXPECT_EQ(hits[2], 2);
+  EXPECT_EQ(hits[3], 2);
+}
+
+TEST(Graph, ClearReturnsAllocNodeReservations) {
+  platform p(1, gdesc());
+  graph g(p);
+  for (int round = 0; round < 2; ++round) {
+    void* buf = nullptr;
+    auto a = g.add_mem_alloc_node({}, 0, 1 << 20, &buf);
+    ASSERT_TRUE(a.valid());
+    g.add_mem_free_node({a}, 0, buf);
+    EXPECT_EQ(p.device(0).pool_used(), 1u << 20);
+    g.clear();
+    EXPECT_EQ(p.device(0).pool_used(), 0u);
+    EXPECT_EQ(g.node_count(), 0u);
+  }
+}
+
+TEST(Graph, ExecUpdateRejectsSameDepCountsWithDifferentEdges) {
+  platform p(1, gdesc());
+  int first = 0;
+  graph g1(p);  // a, b, c <- a
+  auto a = g1.add_kernel_node({}, 0, {.name = "a"}, [&] { ++first; });
+  g1.add_kernel_node({}, 0, {.name = "b"}, [&] { ++first; });
+  g1.add_kernel_node({a}, 0, {.name = "c"}, [&] { ++first; });
+  graph_exec exec(g1);
+
+  graph g2(p);  // a, b, c <- b: every node keeps its dep count
+  g2.add_kernel_node({}, 0, {.name = "a"}, {});
+  auto b2 = g2.add_kernel_node({}, 0, {.name = "b"}, {});
+  g2.add_kernel_node({b2}, 0, {.name = "c"}, {});
+  EXPECT_FALSE(exec.update(g2));
+  EXPECT_EQ(g2.node_count(), 3u);  // a rejected update takes nothing
+
+  stream s(p);
+  exec.launch(s);
+  s.synchronize();
+  EXPECT_EQ(first, 3);  // still the instantiated bodies
+}
+
+TEST(Graph, ThrowingPushLeavesGraphUnchanged) {
+  platform p(1, gdesc());
+  graph g(p);
+  std::vector<int> order;
+  auto a = g.add_kernel_node({}, 0, {.name = "a"}, [&] { order.push_back(0); });
+  void* buf = nullptr;
+  EXPECT_THROW(g.add_kernel_node({a, graph_node{}}, 0, {.name = "x"}, {}),
+               std::invalid_argument);
+  EXPECT_THROW(g.add_kernel_node({a, graph_node{7}}, 0, {.name = "x"}, {}),
+               std::out_of_range);
+  EXPECT_THROW(g.add_mem_alloc_node({graph_node{7}}, 0, 1024, &buf),
+               std::out_of_range);
+  EXPECT_EQ(p.device(0).pool_used(), 0u);
+  EXPECT_EQ(g.node_count(), 1u);
+  g.add_kernel_node({a}, 0, {.name = "b"}, [&] { order.push_back(1); });
+
+  // The exec updates from a cleanly built twin, so no stray edge was left.
+  graph twin(p);
+  auto ta = twin.add_kernel_node({}, 0, {.name = "a"}, {});
+  twin.add_kernel_node({ta}, 0, {.name = "b"}, {});
+  graph_exec exec(twin);
+  ASSERT_TRUE(exec.update(g));
+  stream s(p);
+  exec.launch(s);
+  s.synchronize();
+  EXPECT_EQ(order, (std::vector<int>{0, 1}));
 }
 
 TEST(Graph, MemAllocNodeProvidesUsableBuffer) {

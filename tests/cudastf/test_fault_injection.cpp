@@ -512,6 +512,72 @@ TEST(FaultInjection, GraphFinalizeRestartAfterDeviceZeroLoss) {
   }
 }
 
+// Adds 1 to y[i] = i on device 0, fails device 0 through
+// platform::fail_device() with no injector installed, adds 1 `after` more
+// times on device 0 and finalizes. Checkpointing is armed and retries are
+// off, so every recovery has to come from routing around the failed device.
+error_report inc_around_direct_device_zero_loss(bool graph, int after,
+                                                std::vector<double>& y,
+                                                backend_stats* st) {
+  cudasim::scoped_platform sp(2, tdesc());
+  cudasim::platform& p = sp.get();
+  context ctx = graph ? context::graph(p) : context(p);
+  ctx.set_retry_policy({.max_attempts = 1});
+  ctx.enable_checkpointing();  // committed snapshot = registration contents
+  y.resize(8);
+  std::iota(y.begin(), y.end(), 0.0);
+  auto ly = ctx.logical_data(y.data(), y.size(), "y");
+  const auto inc = [&] {
+    ctx.task(exec_place::device(0), ly.rw())->*
+        [&p](cudasim::stream& s, slice<double> v) {
+          p.launch_kernel(s, {.name = "inc"}, [=] {
+            for (std::size_t i = 0; i < v.size(); ++i) {
+              v(i) += 1.0;
+            }
+          });
+        };
+  };
+  inc();
+  p.fail_device(0);
+  EXPECT_EQ(p.injector(), nullptr);
+  for (int k = 0; k < after; ++k) {
+    inc();
+  }
+  const error_report rep = ctx.finalize();
+  *st = ctx.stats();
+  return rep;
+}
+
+// GraphFinalizeRestartAfterDeviceZeroLoss with the device failed directly:
+// the epoch holding the task is refused at finalize and restarts on
+// device 1.
+TEST(FaultInjection, GraphFinalizeRestartAfterDirectDeviceZeroLoss) {
+  std::vector<double> y;
+  backend_stats st;
+  const error_report rep = inc_around_direct_device_zero_loss(true, 0, y, &st);
+  EXPECT_TRUE(rep.ok()) << rep.to_string();
+  EXPECT_EQ(rep.devices_blacklisted, 1u);
+  EXPECT_GE(st.tasks_replayed, 1u);
+  for (std::size_t i = 0; i < y.size(); ++i) {
+    ASSERT_DOUBLE_EQ(y[i], double(i) + 1.0) << i;
+  }
+}
+
+// On the stream backend the first task already ran, so the failure shows
+// on the next device-0 task, which must move to device 1 instead of being
+// dropped under an ok report.
+TEST(FaultInjection, StreamReroutesAfterDirectDeviceZeroLoss) {
+  std::vector<double> y;
+  backend_stats st;
+  const error_report rep = inc_around_direct_device_zero_loss(false, 1, y, &st);
+  EXPECT_TRUE(rep.ok()) << rep.to_string();
+  EXPECT_EQ(rep.devices_blacklisted, 1u);
+  EXPECT_EQ(rep.tasks_rerouted, 1u);
+  for (std::size_t i = 0; i < y.size(); ++i) {
+    ASSERT_DOUBLE_EQ(y[i], double(i) + 2.0) << i;
+  }
+}
+
 // --- miniWeather chaos soak ---
 
 TEST(FaultInjection, MiniWeatherChaosSoak) {

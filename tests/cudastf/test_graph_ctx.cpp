@@ -103,6 +103,68 @@ TEST(GraphCtx, TopologyChangeInstantiatesAgain) {
   EXPECT_GE(ctx.stats().graph_instantiations, 2u);
 }
 
+// 40 epochs alternating two topologies, every body writing its epoch's
+// index: each update swaps in the newest bodies, so the graph backend
+// matches the stream backend byte for byte, with one executable per
+// topology. Two warm-up epochs come first: they carry the first-touch
+// copies, and their tasks wait on no earlier epoch.
+TEST(GraphCtx, AlternatingTopologiesRunNewestBodies) {
+  constexpr int warmup = 2;
+  constexpr int epochs = 40;
+  struct counts {
+    std::uint64_t instantiations = 0;
+    std::uint64_t updates = 0;
+  };
+  auto run = [](bool graph, std::vector<double>& out, counts* steady) {
+    cudasim::scoped_platform sp(1, tdesc());
+    cudasim::platform& p = sp.get();
+    context ctx = graph ? context::graph(p) : context(p);
+    std::vector<double> x(16, 1.0), log(warmup + epochs, 0.0);
+    auto lx = ctx.logical_data(x.data(), x.size(), "x");
+    auto llog = ctx.logical_data(log.data(), log.size(), "log");
+    for (int e = 0; e < warmup + epochs; ++e) {
+      if (e == warmup) {
+        steady->instantiations = ctx.stats().graph_instantiations;
+        steady->updates = ctx.stats().graph_updates;
+      }
+      ctx.task(lx.rw()).set_symbol("scale")->*
+          [&p, e](cudasim::stream& s, slice<double> v) {
+            p.launch_kernel(s, {.name = "scale"}, [=] {
+              for (std::size_t i = 0; i < v.size(); ++i) {
+                v(i) = v(i) * 0.5 + e;
+              }
+            });
+          };
+      if (e % 2 == 1) {
+        ctx.task(lx.read(), llog.rw()).set_symbol("record")->*
+            [&p, e](cudasim::stream& s, slice<const double> v,
+                    slice<double> l) {
+              p.launch_kernel(s, {.name = "record"}, [=] {
+                l(static_cast<std::size_t>(e)) = v(0) + e;
+              });
+            };
+      }
+      ctx.fence();
+    }
+    steady->instantiations =
+        ctx.stats().graph_instantiations - steady->instantiations;
+    steady->updates = ctx.stats().graph_updates - steady->updates;
+    EXPECT_TRUE(ctx.finalize().ok());
+    out = x;
+    out.insert(out.end(), log.begin(), log.end());
+  };
+  std::vector<double> ref, got;
+  counts stream_counts, graph_counts;
+  run(false, ref, &stream_counts);
+  run(true, got, &graph_counts);
+  ASSERT_EQ(got.size(), ref.size());
+  EXPECT_EQ(std::memcmp(got.data(), ref.data(), ref.size() * sizeof(double)),
+            0);
+  EXPECT_NE(ref.back(), 0.0);  // the last epoch recorded
+  EXPECT_EQ(graph_counts.instantiations, 2u);
+  EXPECT_EQ(graph_counts.updates, static_cast<std::uint64_t>(epochs - 2));
+}
+
 TEST(GraphCtx, GraphBackendFasterForSmallKernels) {
   // The same 200-task workload; stream launch latency is 5us/kernel, graph
   // node latency 1us/kernel — graph epochs should win clearly.
