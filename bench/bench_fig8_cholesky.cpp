@@ -2,7 +2,12 @@
 // (automatic look-ahead) vs the cuSolverMg-like 1D block-cyclic baseline,
 // on both the A100 model (block 1960) and the H100 model (block 3072).
 // Timing-only at paper scale; numerics are validated by the test suite.
+//
+// With --json, emits one JSON record per row on stdout (a single array) for
+// regression tracking; see BENCH_fig8.json. Every value is derived from
+// virtual time, so the output is identical on any host.
 #include <cstdio>
+#include <cstring>
 #include <vector>
 
 #include "blaslib/tiled_cholesky.hpp"
@@ -31,28 +36,59 @@ double run_mg(const cudasim::device_desc& desc, std::size_t n,
                               {.block = block, .compute = false});
 }
 
-void sweep(const char* label, const cudasim::device_desc& desc,
-           std::size_t block) {
-  std::printf("--- %s, 8 GPUs, block %zu ---\n", label, block);
-  std::printf("%-10s %-18s %-18s %-8s\n", "N", "CUDASTF GFLOP/s",
-              "cuSolverMg GFLOP/s", "ratio");
+// `sep` is the JSON record separator, null in text mode.
+void sweep(const char* model, const cudasim::device_desc& desc,
+           std::size_t block, const char** sep) {
+  if (sep == nullptr) {
+    std::printf("--- %s model, 8 GPUs, block %zu ---\n", model, block);
+    std::printf("%-10s %-18s %-18s %-8s\n", "N", "CUDASTF GFLOP/s",
+                "cuSolverMg GFLOP/s", "ratio");
+  }
   for (std::size_t tiles : {6, 10, 14, 18, 22, 26, 30}) {
     const std::size_t n = tiles * block;
     const double flops = blaslib::cholesky_flops(n);
     const double t_stf = run_stf(desc, n, block, 8);
     const double t_mg = run_mg(desc, n, block, 8);
-    std::printf("%-10zu %-18.0f %-18.0f %.2fx\n", n, flops / t_stf / 1e9,
-                flops / t_mg / 1e9, t_mg / t_stf);
+    if (sep != nullptr) {
+      std::printf(
+          "%s\n  {\"model\": \"%s\", \"block\": %zu, \"n\": %zu, "
+          "\"stf_gflops\": %.6e, \"mg_gflops\": %.6e, \"ratio\": %.6e}",
+          *sep, model, block, n, flops / t_stf / 1e9, flops / t_mg / 1e9,
+          t_mg / t_stf);
+      *sep = ",";
+    } else {
+      std::printf("%-10zu %-18.0f %-18.0f %.2fx\n", n, flops / t_stf / 1e9,
+                  flops / t_mg / 1e9, t_mg / t_stf);
+    }
   }
-  std::printf("\n");
+  if (sep == nullptr) {
+    std::printf("\n");
+  }
 }
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  bool json = false;
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--json") == 0) {
+      json = true;
+    } else {
+      std::fprintf(stderr, "usage: %s [--json]\n", argv[0]);
+      return 2;
+    }
+  }
+  if (json) {
+    const char* sep = "";
+    std::printf("[");
+    sweep("A100", cudasim::a100_desc(), 1960, &sep);
+    sweep("H100", cudasim::h100_desc(), 3072, &sep);
+    std::printf("\n]\n");
+    return 0;
+  }
   std::printf("Fig. 8: Cholesky decomposition over 8 GPUs\n\n");
-  sweep("A100 model", cudasim::a100_desc(), 1960);
-  sweep("H100 model", cudasim::h100_desc(), 3072);
+  sweep("A100", cudasim::a100_desc(), 1960, nullptr);
+  sweep("H100", cudasim::h100_desc(), 3072, nullptr);
   std::printf(
       "Expected shape: CUDASTF above cuSolverMg everywhere (paper: up to\n"
       "1.8x), both rising toward the machine's GEMM roofline at large N.\n");

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Tier-1 verification: configure, build, run the full test suite, then the
 # Table I task-overhead benchmark in JSON mode, and the Fig. 3 out-of-core,
-# Table II reduction, chaos and Fig. 10 graph-backend benchmarks, whose JSON
-# must equal BENCH_fig3.json, BENCH_table2.json, BENCH_chaos.json and
-# BENCH_fig10.json byte for byte.
+# Fig. 8 multi-device Cholesky, Table II reduction, chaos and Fig. 10
+# graph-backend benchmarks, whose JSON must equal BENCH_fig3.json,
+# BENCH_fig8.json, BENCH_table2.json, BENCH_chaos.json and BENCH_fig10.json
+# byte for byte.
 # Exits nonzero on any failure.
 # Usage: scripts/tier1.sh [--sanitize] [--tsan] [--bench-smoke] [--chaos]
 #                         [build-dir]
@@ -11,14 +12,14 @@
 # --sanitize additionally builds an ASan+UBSan tree (build-asan) and runs
 # the fault-injection, checkpoint, eviction and transfer tests under it —
 # the error and recovery paths are where lifetime bugs would hide — plus
-# the simulator's stream/event suite (intrusive event registry).
+# the simulator's stream/event suite (events holding recycled nodes).
 #
 # --tsan additionally builds a ThreadSanitizer tree (build-tsan) and runs
 # the context-lock, parallel-submission, concurrency, fast-path,
 # fault-injection, transfer, memory-engine, eviction and simulator
 # stream/event tests under it — multi-threaded submission under the context
-# lock (DESIGN.md §11) and event registration under the registry mutex are
-# where data races would hide.
+# lock (DESIGN.md §11) and lock-free event queries racing node recycling
+# are where data races would hide.
 #
 # --bench-smoke additionally runs every --json benchmark once and diffs the
 # set of JSON record keys against the checked-in BENCH_*.json baselines —
@@ -66,11 +67,12 @@ timeout --signal=KILL "${TIER1_CTEST_TIMEOUT:-600}" \
 "$build/bench/bench_table1_task_overhead" --json
 # Virtual-time gates: every field of these JSON outputs is virtual time or
 # a count, so each must match its checked-in baseline byte for byte. Any
-# drift of the out-of-core victim policy (Fig. 3), the reduction planner
-# (Table II), the recovery ladders (chaos) or graph-epoch memoization
-# (Fig. 10) fails the run.
+# drift of the out-of-core victim policy (Fig. 3), the multi-device stream
+# backend (Fig. 8), the reduction planner (Table II), the recovery ladders
+# (chaos) or graph-epoch memoization (Fig. 10) fails the run.
 for pair in \
   "bench_fig3_oom_cholesky:BENCH_fig3.json" \
+  "bench_fig8_cholesky:BENCH_fig8.json" \
   "bench_table2_reduction:BENCH_table2.json" \
   "bench_chaos:BENCH_chaos.json" \
   "bench_fig10_miniweather_graphs:BENCH_fig10.json"; do
@@ -94,6 +96,7 @@ if [[ "$bench_smoke" == 1 ]]; then
   for pair in \
     "bench_table1_task_overhead:BENCH_table1.json" \
     "bench_fig3_oom_cholesky:BENCH_fig3.json" \
+    "bench_fig8_cholesky:BENCH_fig8.json" \
     "bench_table2_reduction:BENCH_table2.json" \
     "bench_chaos:BENCH_chaos.json" \
     "bench_fig10_miniweather_graphs:BENCH_fig10.json"; do
@@ -197,12 +200,12 @@ if [[ "$sanitize" == 1 ]]; then
   ASAN_OPTIONS=detect_leaks=0 UBSAN_OPTIONS=halt_on_error=1 \
     "$asan_build/tests/test_submit_pipeline"
   # The transfer planner keeps outbound-copy events in per-source buckets
-  # across drains (DESIGN.md §6): a dangling or double-pruned event_ptr
+  # across drains (DESIGN.md §6): an event read past its node's recycling
   # would show here.
   ASAN_OPTIONS=detect_leaks=0 UBSAN_OPTIONS=halt_on_error=1 \
     "$asan_build/tests/test_transfer"
-  # Events link themselves into the platform's intrusive registry and
-  # unlink on destruction or move: a stale link would show here.
+  # Events keep pointers to DES nodes that gc() recycles into new work: a
+  # read of freed memory would show here.
   ASAN_OPTIONS=detect_leaks=0 UBSAN_OPTIONS=halt_on_error=1 \
     "$asan_build/tests/test_cudasim_stream"
 fi
@@ -237,7 +240,7 @@ if [[ "$tsan" == 1 ]]; then
   # mutex (DESIGN.md §9, §11).
   TSAN_OPTIONS=halt_on_error=1 "$tsan_build/tests/test_mem_engine"
   TSAN_OPTIONS=halt_on_error=1 "$tsan_build/tests/test_eviction"
-  # Threads create and destroy events while another synchronizes: the
-  # registry links are guarded by the registry mutex alone.
+  # Threads query events lock-free while another drains and recycles their
+  # nodes: the node's id and done flag are the only fields read unlocked.
   TSAN_OPTIONS=halt_on_error=1 "$tsan_build/tests/test_cudasim_stream"
 fi

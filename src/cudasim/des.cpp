@@ -27,9 +27,14 @@ op_node* timeline::make_node(std::string_view name, int device, engine* eng,
     node = free_.back();
     free_.pop_back();
     ++pooled_;
+    // The new id is published before `done` resets, so a lock-free
+    // event::query() that reads the reset flag also reads the new id and
+    // keeps reporting the recorded incarnation complete; event::record()
+    // relies on the release store of the id itself.
+    node->id.store(next_id_++, std::memory_order_release);
+    node->done.store(false, std::memory_order_release);
     node->unmet = 0;
     node->submitted = false;
-    node->done.store(false, std::memory_order_relaxed);
     node->t_ready = 0.0;
     node->t_start = 0.0;
     node->t_end = 0.0;
@@ -39,8 +44,8 @@ op_node* timeline::make_node(std::string_view name, int device, engine* eng,
       slab_used_ = 0;
     }
     node = &slabs_.back()[slab_used_++];
+    node->id.store(next_id_++, std::memory_order_relaxed);
   }
-  node->id = next_id_++;
   node->name = intern(name);
   node->device = device;
   node->eng = eng;
@@ -199,8 +204,11 @@ std::string timeline::stuck_report() const {
   }
   std::sort(stuck.begin(), stuck.end(),
             [](const op_node* a, const op_node* b) {
-              return a->t_submit != b->t_submit ? a->t_submit < b->t_submit
-                                                : a->id < b->id;
+              if (a->t_submit != b->t_submit) {
+                return a->t_submit < b->t_submit;
+              }
+              return a->id.load(std::memory_order_relaxed) <
+                     b->id.load(std::memory_order_relaxed);
             });
   std::string out =
       "\nstuck operations (" + std::to_string(stuck.size()) +
@@ -209,7 +217,7 @@ std::string timeline::stuck_report() const {
   for (std::size_t i = 0; i < shown; ++i) {
     const op_node& n = *stuck[i];
     out += "\n  #";
-    out += std::to_string(n.id);
+    out += std::to_string(n.id.load(std::memory_order_relaxed));
     out += " '";
     out += n.name;
     out += "'";
@@ -255,22 +263,12 @@ std::string timeline::stuck_report() const {
 }
 
 void timeline::gc() {
-  // Completed nodes are reclaimable as soon as external handles (streams,
-  // events) have dropped their pointers: nothing in the DAG points backwards
-  // at a completed node once its successor list has been cleared. Only the
-  // prefix covered by the last mark_collected() is recycled — nodes retired
-  // after the last handle sweep may still be referenced by an event on
-  // another thread, and resurrecting them would corrupt its lock-free
-  // query().
-  const std::size_t n = std::min(collected_, retired_.size());
-  if (n == 0) {
-    return;
-  }
-  free_.insert(free_.end(), retired_.begin(),
-               retired_.begin() + static_cast<std::ptrdiff_t>(n));
-  retired_.erase(retired_.begin(),
-                 retired_.begin() + static_cast<std::ptrdiff_t>(n));
-  collected_ = 0;
+  // Nothing in the DAG points backwards at a completed node once its
+  // successor list has been cleared, and platform::collect_handles() has
+  // dropped the unchecked external pointers. Events keep the node's id and
+  // read a recycled node as complete.
+  free_.insert(free_.end(), retired_.begin(), retired_.end());
+  retired_.clear();
 }
 
 void timeline::drain_until(const op_node* node) {

@@ -187,11 +187,16 @@ class succ_list {
 /// runs when the node completes so that numerical side effects happen in a
 /// valid topological order.
 ///
-/// Nodes live in timeline-owned slabs and are recycled after completion:
-/// holding an op_node* past completion requires dropping it before
-/// timeline::gc() runs (see platform::collect_handles()).
+/// Nodes live in timeline-owned slabs and are recycled by timeline::gc()
+/// after completion; slabs are never freed while the timeline lives. A
+/// holder of an op_node* past completion either keeps the node's id and
+/// compares it (cudasim::event), or drops the pointer before gc() runs (see
+/// platform::collect_handles()).
 struct op_node {
-  std::uint64_t id = 0;
+  /// Unique per timeline; a recycled node gets a fresh one. Atomic because
+  /// event::query() reads it without the platform lock to tell the node it
+  /// recorded from a later incarnation.
+  std::atomic<std::uint64_t> id{0};
   const char* name = "";  ///< interned by the owning timeline
   int device = -1;        ///< owning device, -1 for host/none
   engine* eng = nullptr;
@@ -202,12 +207,10 @@ struct op_node {
   int unmet = 0;  ///< predecessors not yet complete
   bool submitted = false;
   /// Completion flag. Atomic because event::query() reads it without the
-  /// platform lock (the only lock-free read in the simulator): completion
-  /// stores with release order so an acquire load observing `true` also
-  /// observes the final timestamps. All other accesses happen under the
-  /// platform lock and use relaxed order. A reader holding a stale pointer
-  /// to a recycled node may observe a spurious `false` — query() is
-  /// documented as conservative and monotonic (see stream.hpp).
+  /// platform lock: completion stores `true` with release order, and
+  /// make_node() resets a recycled node to `false` with release order after
+  /// storing its new id, so a reader that observes the reset also observes
+  /// the new id. All other accesses happen under the platform lock.
   std::atomic<bool> done{false};
   /// True when this node represents accepted work (it occupies an engine,
   /// or it is the join marker of a multi-engine operation such as a peer
@@ -317,26 +320,19 @@ class timeline {
   /// caller. Appended to the errors drain()/drain_until() throw.
   std::string stuck_report() const;
 
-  /// Recycles completed nodes into the slab pool. Only nodes covered by the
-  /// most recent mark_collected() call are recycled: a node retired *after*
-  /// external handles were last swept may still be referenced by an event on
-  /// another thread, and recycling it would let a stale lock-free query()
-  /// observe a resurrected node. platform::collect_handles() marks; gc()
-  /// reclaims the marked prefix.
+  /// Recycles every completed node into the slab pool. Holders that do not
+  /// check ids (stream tails, stall victims) must have dropped their
+  /// pointers first: platform::collect_handles() runs before every gc().
   void gc();
-
-  /// Declares that every node retired so far has had its external handle
-  /// pointers dropped (streams/events swept), making the current retired set
-  /// safe for gc() to recycle. Called by platform::collect_handles().
-  void mark_collected() { collected_ = retired_.size(); }
 
   /// Largest completion time observed so far.
   timepoint now() const { return now_; }
 
-  /// Number of nodes processed since construction. Lock-free like
-  /// event::query(): a caller that reads a count also observes `done` on
-  /// every node that count includes (the transfer planner relies on it to
-  /// skip re-pruning while nothing completed).
+  /// Number of nodes processed since construction. Lock-free: a caller that
+  /// reads a count also observes `done` on every node that count includes.
+  /// A node only turns complete inside complete(), which bumps the count, so
+  /// while it has not moved nothing has completed (event::query() and the
+  /// transfer planner answer from it without touching any node).
   std::uint64_t completed_count() const {
     return completed_.load(std::memory_order_acquire);
   }
@@ -385,7 +381,6 @@ class timeline {
   std::size_t slab_used_ = slab_nodes;   ///< forces first-slab allocation
   std::vector<op_node*> free_;           ///< recycled nodes ready for reuse
   std::vector<op_node*> retired_;        ///< completed, awaiting gc()
-  std::size_t collected_ = 0;            ///< retired prefix safe to recycle
   std::unordered_set<std::string, sv_hash, sv_eq> names_;
 
   std::priority_queue<pending_event, std::vector<pending_event>,

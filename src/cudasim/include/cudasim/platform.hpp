@@ -15,11 +15,9 @@
 #include "cudasim/des.hpp"
 #include "cudasim/device.hpp"
 #include "cudasim/fault.hpp"
+#include "cudasim/stream.hpp"
 
 namespace cudasim {
-
-class stream;
-class event;
 
 /// Memory kinds understood by memcpy_async.
 enum class memcpy_kind : std::uint8_t {
@@ -200,13 +198,13 @@ class platform {
 
   /// What cancel_stalled_op() tore out of the DES (found == false when no
   /// cancellable stalled op existed). `name` points at the timeline's
-  /// interned string; `node` stays valid until the next collect_handles().
+  /// interned string; `id` matches event::node_id() of events recorded on
+  /// the op.
   struct stall_info {
     bool found = false;
     std::uint64_t id = 0;
     const char* name = "";
     int device = -1;
-    const op_node* node = nullptr;
   };
 
   /// Cooperatively cancels one injected-stall victim: `prefer` (when it is
@@ -266,14 +264,9 @@ class platform {
   engine& host_engine() { return host_engine_; }
   void register_stream(stream* s) { streams_.insert(s); }
   void unregister_stream(stream* s) { streams_.erase(s); }
-  /// Event registration takes only the registry mutex, never the driver
-  /// lock: an event handle may be destroyed on any thread. Lock order is
-  /// driver lock -> registry mutex (collect_handles); registration takes
-  /// the registry mutex alone, so the order never inverts.
-  void register_event(event* e);
-  void unregister_event(event* e);
-  /// Drops handle pointers to completed nodes so drain() can reclaim them,
-  /// then marks the retired set collected (see timeline::mark_collected()).
+  /// Drops the unchecked pointers to completed nodes (stream tails, stall
+  /// victims) so timeline::gc() can recycle every retired node. Events need
+  /// no sweep: they check the node's id. Called with mu_ held.
   void collect_handles();
   /// Bandwidth of host-to-host staging copies (checkpoint snapshots of
   /// host-resident data, eviction staging). Configurable so checkpoint
@@ -326,9 +319,6 @@ class platform {
   bool copy_payloads_ = true;
   double host_memcpy_bw_ = 50.0e9;
   std::unordered_set<stream*> streams_;
-  std::mutex events_mu_;
-  /// Head of the intrusive list of live events; guarded by events_mu_.
-  event* events_ = nullptr;
   std::shared_ptr<fault_injector> injector_;
   bool alloc_fault_pending_ = false;
   std::atomic<bool> faults_armed_{false};
@@ -342,6 +332,21 @@ class platform {
   std::vector<op_node*> stalled_ops_;
   std::vector<byte_span> output_hints_;
 };
+
+inline bool event::query() const {
+  // Lock-free. Both node loads are acquire, and the count is published
+  // after `done`, so a `true` happens-after the completing store. make_node()
+  // stores a recycled node's new id before resetting `done`, so reading the
+  // reset flag implies reading the new id: the answer never flips back.
+  if (node_ == nullptr) {
+    return stream_uid_ != 0;  // recorded on an idle stream, or unrecorded
+  }
+  if (plat_->ops_completed() == stamp_) {
+    return false;  // nothing completed since record: no node read at all
+  }
+  return node_->done.load(std::memory_order_acquire) ||
+         node_->id.load(std::memory_order_acquire) != id_;
+}
 
 /// Flips one deterministic bit of `[p, p+len)` derived from `seed`.
 void flip_payload_byte(void* p, std::size_t len, std::uint64_t seed);

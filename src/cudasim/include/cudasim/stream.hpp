@@ -1,13 +1,15 @@
 // Simulated CUDA streams and events.
 //
 // Thread-safety: all mutating operations take the platform lock internally.
-// event::query() is the one lock-free read (it backs event_list pruning on
-// the submission path); it reads the atomic node pointer and the node's
-// atomic completion flag, and is conservative — a stale pointer to a
-// recycled node yields `false`, never a false `true`, and the result is
-// monotonic (once true, always true). Concurrent submissions to the *same*
-// stream must be serialized externally (the STF layer submits under its
-// context lock); different streams need no coordination.
+// The event calls on the submission path take none: event::query() (it
+// backs event_list pruning) reads the platform's atomic completion count
+// and at most the recorded node's atomic `done` flag and id, and is exact
+// up to a completion in flight on another thread — never a false `true`,
+// and monotonic (once true, always true); event::record() reads the
+// stream's atomic tail the same way. Concurrent submissions to the *same*
+// stream, its event records included, must be serialized externally (the
+// STF layer submits under its context lock); different streams need no
+// coordination.
 #pragma once
 
 #include <atomic>
@@ -85,12 +87,11 @@ class stream {
   // Internal: dependency chaining used by the platform. `last_` is atomic
   // because platform::collect_handles() clears completed tails under the
   // platform lock while the STF stream backend reads the tail holding only
-  // the context lock (backend_stream.cpp).
+  // the context lock (backend_stream.cpp). The tail is an unchecked
+  // pointer, so it keeps that sweep: gc() only runs after it.
   op_node* last() const { return last_.load(std::memory_order_acquire); }
   void set_last(op_node* n) { last_.store(n, std::memory_order_release); }
   void drop_completed();  ///< forget last_ if it already completed
-  /// Internal: monotone per-stream counter stamped onto recorded events.
-  std::uint64_t next_record_seq() { return ++record_seq_; }
   // Internal: capture bookkeeping, the node the next captured op chains
   // behind (invalid while nothing has been captured).
   graph_node capture_tail_;
@@ -99,7 +100,6 @@ class stream {
   platform* plat_;
   int device_;
   std::uint64_t uid_;
-  std::uint64_t record_seq_ = 0;
   std::atomic<op_node*> last_{nullptr};
   graph* capture_ = nullptr;
   // Written only by platform submission calls made while the submitting
@@ -108,56 +108,50 @@ class stream {
   sim_status status_ = sim_status::success;
 };
 
-/// A marker in a stream's work queue (cudaEvent_t).
+/// A marker in a stream's work queue (cudaEvent_t), held as a plain value:
+/// copies are independent handles to the same recorded point, and an event
+/// needs no registration or cleanup. It keeps the recorded node together
+/// with that node's id and the platform's completion count at record time.
+/// While the count has not moved, the node cannot have completed; once it
+/// has, a node that is done, or that carries another id because gc()
+/// recycled it, means the recorded point completed. A default-constructed
+/// event is unrecorded.
 class event {
  public:
-  explicit event(platform& p);
-  ~event();
-
-  event(event&& other) noexcept;
-  event(const event&) = delete;
-  event& operator=(const event&) = delete;
-  event& operator=(event&&) = delete;
+  event() = default;
+  explicit event(platform& p) : plat_(&p) {}
 
   /// Captures the current tail of `s` (cudaEventRecord).
   void record(stream& s);
 
   /// Drains the simulation until the recorded point has completed.
-  void synchronize();
+  void synchronize() const;
 
-  /// True once the recorded point has completed (cudaEventQuery).
-  /// Lock-free and safe to call from any thread; conservative (may lag the
-  /// truth by one handle sweep) and monotonic once it returns true.
+  /// True once the recorded point has completed (cudaEventQuery); false for
+  /// an unrecorded event. Lock-free and safe to call from any thread.
+  /// Defined in platform.hpp, which it reads the completion count from.
   bool query() const;
 
-  /// Virtual timestamp of completion; only valid after synchronize().
-  timepoint completion_time() const { return t_end_; }
-
   /// uid() of the stream this event was last recorded on (0 if never
-  /// recorded). Together with record_seq() this orders events on the same
-  /// stream for dominance pruning.
+  /// recorded).
   std::uint64_t record_stream_uid() const { return stream_uid_; }
-  std::uint64_t record_seq() const { return seq_; }
+  /// Id of the recorded node, 0 if the stream was idle. A stream's tail
+  /// only ever moves to a newer node, and an idle stream has completed
+  /// everything recorded on it before, so of two events recorded on the
+  /// same stream the one with the larger id completes last (dominance
+  /// pruning orders them by it).
+  std::uint64_t node_id() const { return id_; }
 
-  // Internal.
-  op_node* node() const { return node_.load(std::memory_order_acquire); }
-  void drop_completed();
+  // Internal: the recorded node while it may still be pending, null once
+  // the event is complete — never a recycled node.
+  op_node* pending_node() const { return query() ? nullptr : node_; }
 
  private:
-  friend class stream;
-  friend class platform;
-  platform* plat_;
-  /// Pending tail node, null once collected. Atomic: cleared by
-  /// platform::collect_handles() under the platform lock while query() may
-  /// read it lock-free from a submitting thread.
-  std::atomic<op_node*> node_{nullptr};
-  bool recorded_ = false;
-  timepoint t_end_ = 0.0;
+  platform* plat_ = nullptr;
+  op_node* node_ = nullptr;   ///< recorded tail; null if the stream was idle
+  std::uint64_t id_ = 0;      ///< node_->id at record time
+  std::uint64_t stamp_ = 0;   ///< platform ops_completed() at record time
   std::uint64_t stream_uid_ = 0;
-  std::uint64_t seq_ = 0;
-  /// Links in the platform's event registry, guarded by its registry mutex.
-  event* reg_prev_ = nullptr;
-  event* reg_next_ = nullptr;
 };
 
 }  // namespace cudasim

@@ -617,10 +617,9 @@ platform::stall_info platform::cancel_stalled_op(const op_node* prefer) {
       return false;  // e.g. still waiting on predecessors
     }
     info.found = true;
-    info.id = n->id;
+    info.id = n->id.load(std::memory_order_relaxed);
     info.name = n->name;
     info.device = n->device;
-    info.node = n;
     return true;
   };
   if (prefer != nullptr) {
@@ -762,38 +761,9 @@ void platform::synchronize() {
   tl_.gc();
 }
 
-void platform::register_event(event* e) {
-  std::lock_guard lock(events_mu_);
-  e->reg_prev_ = nullptr;
-  e->reg_next_ = events_;
-  if (events_ != nullptr) {
-    events_->reg_prev_ = e;
-  }
-  events_ = e;
-}
-
-void platform::unregister_event(event* e) {
-  std::lock_guard lock(events_mu_);
-  (e->reg_prev_ != nullptr ? e->reg_prev_->reg_next_ : events_) = e->reg_next_;
-  if (e->reg_next_ != nullptr) {
-    e->reg_next_->reg_prev_ = e->reg_prev_;
-  }
-  e->reg_prev_ = nullptr;
-  e->reg_next_ = nullptr;
-}
-
 void platform::collect_handles() {
-  // Called with mu_ held. The registry mutex nests inside the driver lock;
-  // event registration takes only the registry mutex, so the order never
-  // inverts.
   for (stream* s : streams_) {
     s->drop_completed();
-  }
-  {
-    std::lock_guard lock(events_mu_);
-    for (event* e = events_; e != nullptr; e = e->reg_next_) {
-      e->drop_completed();
-    }
   }
   // Stalled-op tracking must drop done nodes before gc() can recycle them:
   // a recycled node's pointer would alias an unrelated live op and
@@ -801,9 +771,6 @@ void platform::collect_handles() {
   std::erase_if(stalled_ops_, [](op_node* n) {
     return n->done.load(std::memory_order_relaxed);
   });
-  // Everything retired up to this point has had its handles dropped and is
-  // now safe for timeline::gc() to recycle.
-  tl_.mark_collected();
 }
 
 namespace {

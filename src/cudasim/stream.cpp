@@ -35,7 +35,6 @@ stream::stream(stream&& other) noexcept
     : plat_(other.plat_),
       device_(other.device_),
       uid_(other.uid_),
-      record_seq_(other.record_seq_),
       last_(other.last_.load(std::memory_order_relaxed)),
       capture_(other.capture_),
       status_(other.status_) {
@@ -68,9 +67,8 @@ void stream::wait_events(const event* const* evs, std::size_t n) {
   op_node* pending[chunk];
   std::size_t np = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    op_node* evn = evs[i]->node();
-    if (evn == nullptr || evn->done.load(std::memory_order_relaxed) ||
-        evn == tail) {
+    op_node* evn = evs[i]->pending_node();
+    if (evn == nullptr || evn == tail) {
       continue;
     }
     pending[np++] = evn;
@@ -126,80 +124,45 @@ void stream::drop_completed() {
   }
 }
 
-// Event registration goes through the platform's event registry, which
-// locks its own mutex: an event may be created or destroyed on any thread
-// without the platform lock.
-event::event(platform& p) : plat_(&p) { p.register_event(this); }
-
-event::~event() {
-  if (plat_ != nullptr) {
-    plat_->unregister_event(this);
-  }
-}
-
-event::event(event&& other) noexcept
-    : plat_(other.plat_),
-      node_(other.node_.load(std::memory_order_relaxed)),
-      recorded_(other.recorded_),
-      t_end_(other.t_end_),
-      stream_uid_(other.stream_uid_),
-      seq_(other.seq_) {
-  plat_->unregister_event(&other);
-  plat_->register_event(this);
-  other.plat_ = nullptr;
-  other.node_.store(nullptr, std::memory_order_relaxed);
-}
-
 void event::record(stream& s) {
   if (s.capturing()) {
     throw std::logic_error("cudasim: event record during capture unsupported");
   }
-  std::lock_guard lock(plat_->mutex());
+  plat_ = &s.owner();
+  stream_uid_ = s.uid();
   // Capture the stream's current tail directly (the event completes exactly
   // when the tail op completes) instead of enqueueing a marker node — the
   // common record-after-submit pattern then allocates nothing.
-  recorded_ = true;
-  stream_uid_ = s.uid();
-  seq_ = s.next_record_seq();
+  //
+  // Lock-free. The caller owns `s`, so another thread can only sweep its
+  // tail (a done node) to null before gc() recycles it. The count is read
+  // first, so a tail still pending after it completes past the stamp. The
+  // id is read with acquire; make_node() publishes a recycled node's id
+  // with release, after the sweep, so if it is not this tail's id the
+  // re-read of the tail sees the sweep.
+  const std::uint64_t stamp = plat_->ops_completed();
   op_node* tail = s.last();
-  if (tail == nullptr || tail->done.load(std::memory_order_relaxed)) {
-    // Stream already idle: the event is complete as of "now".
-    node_.store(nullptr, std::memory_order_release);
-    t_end_ = tail != nullptr ? tail->t_end : plat_->tl().now();
-    return;
+  if (tail != nullptr) {
+    const std::uint64_t id = tail->id.load(std::memory_order_acquire);
+    if (!tail->done.load(std::memory_order_acquire) && s.last() == tail) {
+      node_ = tail;
+      id_ = id;
+      stamp_ = stamp;
+      return;
+    }
   }
-  node_.store(tail, std::memory_order_release);
+  node_ = nullptr;  // stream idle: complete as of "now"
+  id_ = 0;
+  stamp_ = 0;
 }
 
-void event::synchronize() {
-  std::lock_guard lock(plat_->mutex());
-  if (!recorded_) {
+void event::synchronize() const {
+  if (stream_uid_ == 0) {
     throw std::logic_error("cudasim: synchronizing an unrecorded event");
   }
-  op_node* n = node_.load(std::memory_order_relaxed);
-  if (n != nullptr && !n->done.load(std::memory_order_relaxed)) {
-    plat_->tl().drain_until(n);
-  }
-  drop_completed();
-}
-
-bool event::query() const {
-  // Lock-free: the only simulator read allowed without the platform lock.
-  // Both loads are acquire so a `true` result happens-after the completing
-  // store; a stale pointer to a since-recycled node reads as `false`
-  // (conservative), and nullptr means already collected (complete).
-  if (!recorded_) {
-    return false;
-  }
-  op_node* n = node_.load(std::memory_order_acquire);
-  return n == nullptr || n->done.load(std::memory_order_acquire);
-}
-
-void event::drop_completed() {
-  op_node* n = node_.load(std::memory_order_relaxed);
-  if (n != nullptr && n->done.load(std::memory_order_relaxed)) {
-    t_end_ = n->t_end;
-    node_.store(nullptr, std::memory_order_release);
+  std::lock_guard lock(plat_->mutex());
+  if (!query()) {
+    plat_->tl().drain_until(node_);
   }
 }
 

@@ -3,7 +3,6 @@
 // at a time — every call arrives under the context lock, nothing here
 // needs its own locking, and the plain stats_ counters stay data-race free.
 #include <cstdint>
-#include <stdexcept>
 
 #include "cudastf/backend.hpp"
 #include "cudastf/error.hpp"
@@ -46,31 +45,28 @@ void graph_backend::ensure_epoch() {
     s->begin_capture(graph_);
   }
   host_capture_->begin_capture(graph_);
+  epoch_first_ = next_serial_;
   summary_ = 1469598103934665603ull;
   external_deps_.clear();
 }
 
-event_ptr graph_backend::run(int device, channel ch, const event_list& deps,
-                             const std::function<void(cudasim::stream&)>& payload,
-                             std::string_view name, run_result* rr) {
+event graph_backend::run(int device, channel ch, const event_list& deps,
+                         const std::function<void(cudasim::stream&)>& payload,
+                         std::string_view name, run_result* rr) {
   ensure_epoch();
   cudasim::stream& s =
       ch == channel::host ? *host_capture_
                           : *capture_.at(static_cast<std::size_t>(device));
 
   dep_nodes_.clear();
-  for (const event_ptr& e : deps) {
-    if (auto* ge = as_graph_event(e)) {
-      if (ge->epoch == epoch_) {
-        dep_nodes_.push_back(ge->node);
-      }
-      // Nodes of flushed epochs are ordered by the epoch stream: drop.
-    } else if (as_stream_event(e) != nullptr) {
+  for (const event& e : deps) {
+    if (e.type() == event::kind::stream) {
       // Real-stream work (e.g. allocations): the epoch launch will wait.
       external_deps_.add(e);
-    } else {
-      throw std::logic_error("cudastf: foreign event kind in graph backend");
+    } else if (e.serial() >= epoch_first_) {
+      dep_nodes_.push_back(e.graph_node());
     }
+    // Nodes of flushed epochs are ordered by the epoch stream: drop.
   }
   stats_.deps_wired += dep_nodes_.size();
 
@@ -117,15 +113,12 @@ event_ptr graph_backend::run(int device, channel ch, const event_list& deps,
     // existed — a retry (or a checkpoint epoch in flight) would then chain
     // off a node that represents no submission. Report "nothing to wait
     // for" instead; the unreferenced join marker executes as a no-op.
-    return nullptr;
+    return {};
   }
   if (!out.valid()) {
-    return nullptr;  // nothing recorded, nothing to wait for
+    return {};  // nothing recorded, nothing to wait for
   }
-  auto ev = std::make_shared<graph_node_event>();
-  ev->node = out;
-  ev->epoch = epoch_;
-  return ev;
+  return event(out, next_serial_++);
 }
 
 void graph_backend::flush() {
@@ -137,7 +130,6 @@ void graph_backend::flush() {
   }
   host_capture_->end_capture();
   open_ = false;
-  ++epoch_;
   if (graph_.node_count() == 0) {
     return;
   }
@@ -169,19 +161,14 @@ void graph_backend::flush() {
     for (int d = 0; d < plat_->device_count(); ++d) {
       if (!plat_->device_failed(d)) {
         auto moved = std::make_unique<cudasim::stream>(*plat_, d);
-        if (last_epoch_done_) {
-          moved->wait_event(
-              static_cast<stream_event*>(last_epoch_done_.get())->ev);
-        }
+        moved->wait_event(last_epoch_done_.sim());
         epoch_stream_ = std::move(moved);
         break;
       }
     }
   }
-  for (const event_ptr& e : external_deps_) {
-    if (auto* se = as_stream_event(e)) {
-      epoch_stream_->wait_event(se->ev);
-    }
+  for (const event& e : external_deps_) {
+    epoch_stream_->wait_event(e.sim());
   }
   external_deps_.clear();
   // Host-side cost of instantiating/updating the executable delays the
@@ -196,9 +183,7 @@ void graph_backend::flush() {
   ++stats_.graph_launches;
   ++stats_.epochs;
 
-  auto done = std::make_shared<stream_event>(*plat_);
-  done->ev.record(*epoch_stream_);
-  last_epoch_done_ = std::move(done);
+  last_epoch_done_ = record_event(*epoch_stream_);
 }
 
 void graph_backend::launch_refused(cudasim::graph_exec& exec) {
@@ -257,19 +242,17 @@ void* graph_backend::alloc_device(int device, std::size_t bytes,
   if (p == nullptr) {
     return nullptr;
   }
-  auto ev = std::make_shared<stream_event>(*plat_);
-  ev->ev.record(s);
-  out.add(std::move(ev));
+  out.add(record_event(s));
   return p;
 }
 
 graph_backend::graph_dep_scan graph_backend::scan_graph_deps(
     const event_list& deps) const {
   graph_dep_scan r;
-  for (const event_ptr& e : deps) {
-    if (auto* ge = as_graph_event(e)) {
+  for (const event& e : deps) {
+    if (e.type() == event::kind::graph) {
       r.any = true;
-      if (open_ && ge->epoch == epoch_) {
+      if (open_ && e.serial() >= epoch_first_) {
         r.current = true;
         break;
       }
@@ -288,18 +271,16 @@ void graph_backend::free_device(int device, void* p, const event_list& deps,
   // Deps from flushed epochs are covered by the serialized epoch stream;
   // waiting on the last launch suffices, without ending the (possibly
   // empty) epoch under construction.
-  if (gd.any && last_epoch_done_) {
-    s.wait_event(static_cast<stream_event*>(last_epoch_done_.get())->ev);
+  if (gd.any) {
+    s.wait_event(last_epoch_done_.sim());
   }
-  for (const event_ptr& e : deps) {
-    if (auto* se = as_stream_event(e)) {
-      s.wait_event(se->ev);
+  for (const event& e : deps) {
+    if (e.type() == event::kind::stream) {
+      s.wait_event(e.sim());
     }
   }
   plat_->free_async(p, s);
-  auto ev = std::make_shared<stream_event>(*plat_);
-  ev->ev.record(s);
-  dangling.add(std::move(ev));
+  dangling.add(record_event(s));
 }
 
 void graph_backend::wait(const event_list& l) {
@@ -308,11 +289,11 @@ void graph_backend::wait(const event_list& l) {
     flush();
   }
   if (gd.any && last_epoch_done_) {
-    static_cast<stream_event*>(last_epoch_done_.get())->ev.synchronize();
+    last_epoch_done_.sim().synchronize();
   }
-  for (const event_ptr& e : l) {
-    if (auto* se = as_stream_event(e)) {
-      se->ev.synchronize();
+  for (const event& e : l) {
+    if (e.type() == event::kind::stream) {
+      e.sim().synchronize();
     }
   }
 }

@@ -1,5 +1,3 @@
-#include <stdexcept>
-
 #include "cudastf/backend.hpp"
 
 namespace cudastf {
@@ -50,20 +48,16 @@ cudasim::stream& stream_backend::pick(int device, channel ch) {
   return s;
 }
 
-event_ptr stream_backend::run(int device, channel ch, const event_list& deps,
-                              const std::function<void(cudasim::stream&)>& payload,
-                              std::string_view /*name*/, run_result* rr) {
+event stream_backend::run(int device, channel ch, const event_list& deps,
+                          const std::function<void(cudasim::stream&)>& payload,
+                          std::string_view /*name*/, run_result* rr) {
   cudasim::stream& s = pick(device, ch);
   // Wire all dependencies with one fused join instead of one marker per
   // event (pruned lists are tiny; 16 covers everything the STF layer emits).
   const cudasim::event* wait_buf[16];
   std::size_t nwait = 0;
-  for (const event_ptr& e : deps) {
-    stream_event* se = as_stream_event(e);
-    if (se == nullptr) {
-      throw std::logic_error("cudastf: foreign event kind in stream backend");
-    }
-    wait_buf[nwait++] = &se->ev;
+  for (const event& e : deps) {
+    wait_buf[nwait++] = &e.sim();
     if (nwait == sizeof(wait_buf) / sizeof(wait_buf[0])) {
       s.wait_events(wait_buf, nwait);
       nwait = 0;
@@ -78,8 +72,12 @@ event_ptr stream_backend::run(int device, channel ch, const event_list& deps,
   // such as the retry-backoff node, real_work == false) means the refusal
   // was clean and the submission can be retried; real work at the tail
   // (including a peer-copy join marker) means a prefix of the payload
-  // executed and retry would double-run it.
-  cudasim::op_node* before = s.last();
+  // executed and retry would double-run it. The id tells the snapshot
+  // from a recycled node at the same address (a drain inside the payload
+  // may recycle it).
+  const cudasim::op_node* before = s.last();
+  const std::uint64_t before_id =
+      before != nullptr ? before->id.load(std::memory_order_relaxed) : 0;
   payload(s);
   const cudasim::sim_status st = s.status();
   if (st != cudasim::sim_status::success) {
@@ -87,18 +85,19 @@ event_ptr stream_backend::run(int device, channel ch, const event_list& deps,
     // stale sticky status would silently refuse their submissions.
     s.clear_status();
     if (rr != nullptr) {
-      cudasim::op_node* after = s.last();
+      const cudasim::op_node* after = s.last();
       rr->status = st;
-      rr->partial = after != before && after != nullptr && after->real_work;
+      rr->partial =
+          after != nullptr && after->real_work &&
+          (after != before ||
+           after->id.load(std::memory_order_relaxed) != before_id);
     }
   } else if (rr != nullptr) {
     rr->status = cudasim::sim_status::success;
     rr->partial = false;
   }
-  auto out = std::make_shared<stream_event>(*plat_);
-  out->ev.record(s);
   ++stats_.tasks;
-  return out;
+  return record_event(s);
 }
 
 void* stream_backend::alloc_device(int device, std::size_t bytes,
@@ -108,31 +107,23 @@ void* stream_backend::alloc_device(int device, std::size_t bytes,
   if (p == nullptr) {
     return nullptr;
   }
-  auto ev = std::make_shared<stream_event>(*plat_);
-  ev->ev.record(s);
-  out.add(std::move(ev));
+  out.add(record_event(s));
   return p;
 }
 
 void stream_backend::free_device(int device, void* p, const event_list& deps,
                                  event_list& dangling) {
   cudasim::stream& s = *dev_.at(static_cast<std::size_t>(device)).alloc;
-  for (const event_ptr& e : deps) {
-    if (auto* se = as_stream_event(e)) {
-      s.wait_event(se->ev);
-    }
+  for (const event& e : deps) {
+    s.wait_event(e.sim());
   }
   plat_->free_async(p, s);
-  auto ev = std::make_shared<stream_event>(*plat_);
-  ev->ev.record(s);
-  dangling.add(std::move(ev));
+  dangling.add(record_event(s));
 }
 
 void stream_backend::wait(const event_list& l) {
-  for (const event_ptr& e : l) {
-    if (auto* se = as_stream_event(e)) {
-      se->ev.synchronize();
-    }
+  for (const event& e : l) {
+    e.sim().synchronize();
   }
 }
 

@@ -64,8 +64,8 @@ void checkpoint_manager::on_register(const std::shared_ptr<logical_data_impl>& d
   bool settled = host != nullptr && host->allocated &&
                  host->state != msi_state::invalid;
   if (settled) {
-    for (const event_ptr& ev : host->writer) {
-      if (ev && !ev->completed()) {
+    for (const event& ev : host->writer) {
+      if (!ev.completed()) {
         settled = false;
         break;
       }

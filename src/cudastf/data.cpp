@@ -56,6 +56,7 @@ logical_data_impl::logical_data_impl(std::shared_ptr<context_state> st,
     inst->allocated = true;
     inst->user_owned = true;
     inst->state = msi_state::modified;  // the only valid copy initially
+    host_slot_ = inst.get();
     instances_.push_back(std::move(inst));
   }
 }
@@ -68,10 +69,37 @@ data_instance& logical_data_impl::instance_at(const data_place& place) {
   inst->place = place;
   data_instance& ref = *inst;
   instances_.push_back(std::move(inst));
+  switch (place.type()) {
+    case data_place::kind::host:
+      host_slot_ = &ref;
+      break;
+    case data_place::kind::device: {
+      const auto dev = static_cast<std::size_t>(place.device_index());
+      if (dev >= device_slots_.size()) {
+        device_slots_.resize(dev + 1, nullptr);
+      }
+      device_slots_[dev] = &ref;
+      break;
+    }
+    case data_place::kind::affine:
+    case data_place::kind::composite:
+      break;
+  }
   return ref;
 }
 
 data_instance* logical_data_impl::find_instance(const data_place& place) {
+  switch (place.type()) {
+    case data_place::kind::host:
+      return host_slot_;
+    case data_place::kind::device: {
+      const auto dev = static_cast<std::size_t>(place.device_index());
+      return dev < device_slots_.size() ? device_slots_[dev] : nullptr;
+    }
+    case data_place::kind::affine:
+    case data_place::kind::composite:
+      break;
+  }
   for (auto& inst : instances_) {
     if (inst->place == place) {
       return inst.get();
@@ -299,7 +327,7 @@ logical_data_impl::~logical_data_impl() {
         // every dependent operation has completed.
         void* p = inst->ptr;
         cudasim::platform* plat = st_->plat;
-        event_ptr ev = st_->backend->run(
+        const event ev = st_->backend->run(
             0, backend_iface::channel::host, deps,
             [plat, p](cudasim::stream& s) {
               plat->launch_host_func(s, [p] { ::operator delete(p); });
@@ -313,7 +341,7 @@ logical_data_impl::~logical_data_impl() {
         auto shared_resv = std::shared_ptr<cudasim::vmm::reservation>(
             std::move(inst->resv));
         cudasim::platform* plat = st_->plat;
-        event_ptr ev = st_->backend->run(
+        const event ev = st_->backend->run(
             0, backend_iface::channel::host, deps,
             [plat, shared_resv](cudasim::stream& s) {
               plat->launch_host_func(s, [shared_resv] {});

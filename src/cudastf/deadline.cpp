@@ -41,10 +41,10 @@ overload_error::overload_error(std::size_t inflight, std::size_t pending_bytes,
       pending_bytes_(pending_bytes) {}
 
 bool deadline_monitor::entry_complete(const entry& e) const {
-  if (e.done == nullptr || e.done->completed()) {
+  if (!e.done || e.done.completed()) {
     return true;
   }
-  if (e.done->kind() == backend_event::event_kind::graph_node) {
+  if (e.done.type() == event::kind::graph) {
     // Graph-node events have no individual completion; an epoch's entries
     // resolve together once the DES fully drained after the flush
     // (epoch-grained completion, see the header).
@@ -124,8 +124,8 @@ void deadline_monitor::settle(bool until_idle) {
 
 void deadline_monitor::wait(const event_list& l) {
   const auto all_done = [&l] {
-    for (const event_ptr& e : l) {
-      if (e != nullptr && !e->completed()) {
+    for (const event& e : l) {
+      if (!e.completed()) {
         return false;
       }
     }
@@ -201,10 +201,8 @@ void deadline_monitor::escalate(std::size_t idx) {
   while (plat.drain_one()) {
   }
   const cudasim::op_node* prefer = nullptr;
-  if (idx != npos && entries_[idx].done != nullptr) {
-    if (stream_event* se = as_stream_event(entries_[idx].done)) {
-      prefer = se->ev.node();
-    }
+  if (idx != npos && entries_[idx].done.type() == event::kind::stream) {
+    prefer = entries_[idx].done.sim().pending_node();
   }
   // Capture the report before surgery: it names the wedge and its stuck
   // predecessor chain while they are still stuck.
@@ -242,14 +240,11 @@ void deadline_monitor::escalate(std::size_t idx) {
   // Match the cancelled op to a tracked submission by its tail node.
   std::size_t victim = npos;
   for (std::size_t i = 0; i < entries_.size(); ++i) {
-    if (entries_[i].done == nullptr) {
-      continue;
-    }
-    if (stream_event* se = as_stream_event(entries_[i].done)) {
-      if (se->ev.node() == info.node) {
-        victim = i;
-        break;
-      }
+    const event& done = entries_[i].done;
+    if (done.type() == event::kind::stream &&
+        done.sim().node_id() == info.id) {
+      victim = i;
+      break;
     }
   }
   if (victim != npos && retry_safe(entries_[victim])) {
@@ -357,7 +352,7 @@ bool deadline_monitor::retry_safe(const entry& e) const {
       return false;  // someone already consumed the (never-computed) output
     }
     if (d->last_writer.size() != 1 ||
-        d->last_writer.begin()->get() != e.done.get()) {
+        *d->last_writer.begin() != e.done) {
       return false;  // a later writer owns the data now
     }
   }

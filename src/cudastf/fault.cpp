@@ -497,10 +497,8 @@ void guard_partial(const task_dep_untyped* const* deps, std::size_t n,
     if (inst == nullptr) {
       continue;
     }
-    for (const event_ptr& e : evs) {
-      if (e) {
-        inst->readers.add(e);
-      }
+    for (const event& e : evs) {
+      inst->readers.add(e);
     }
   }
 }

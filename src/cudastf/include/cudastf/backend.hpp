@@ -148,9 +148,9 @@ class backend_iface {
   /// are reused across unrelated tasks); with rr == nullptr a fault status
   /// is still cleared but otherwise ignored, preserving the fault-free
   /// fast path.
-  virtual event_ptr run(int device, channel ch, const event_list& deps,
-                        const std::function<void(cudasim::stream&)>& payload,
-                        std::string_view name, run_result* rr = nullptr) = 0;
+  virtual event run(int device, channel ch, const event_list& deps,
+                    const std::function<void(cudasim::stream&)>& payload,
+                    std::string_view name, run_result* rr = nullptr) = 0;
 
   /// Stream-ordered device allocation. Returns nullptr when the device pool
   /// is exhausted (the caller reacts, e.g. by evicting). On success appends
@@ -196,9 +196,9 @@ class stream_backend final : public backend_iface {
                           int pool_size = 4);
 
   cudasim::platform& plat() override { return *plat_; }
-  event_ptr run(int device, channel ch, const event_list& deps,
-                const std::function<void(cudasim::stream&)>& payload,
-                std::string_view name, run_result* rr = nullptr) override;
+  event run(int device, channel ch, const event_list& deps,
+            const std::function<void(cudasim::stream&)>& payload,
+            std::string_view name, run_result* rr = nullptr) override;
   void* alloc_device(int device, std::size_t bytes, event_list& out) override;
   void free_device(int device, void* p, const event_list& deps,
                    event_list& dangling) override;
@@ -224,6 +224,13 @@ class stream_backend final : public backend_iface {
   std::unique_ptr<cudasim::stream> host_stream_;
 };
 
+/// Records the current tail of `s` as an abstract event.
+inline event record_event(cudasim::stream& s) {
+  cudasim::event e;
+  e.record(s);
+  return event(e);
+}
+
 /// CUDA-graph backend: operations of one epoch are recorded as graph nodes;
 /// ctx.fence() ends the epoch, looks up a cache of executable graphs by
 /// task summary, updates an existing executable when the topology matches
@@ -233,9 +240,9 @@ class graph_backend final : public backend_iface {
   explicit graph_backend(cudasim::platform& p);
 
   cudasim::platform& plat() override { return *plat_; }
-  event_ptr run(int device, channel ch, const event_list& deps,
-                const std::function<void(cudasim::stream&)>& payload,
-                std::string_view name, run_result* rr = nullptr) override;
+  event run(int device, channel ch, const event_list& deps,
+            const std::function<void(cudasim::stream&)>& payload,
+            std::string_view name, run_result* rr = nullptr) override;
   void* alloc_device(int device, std::size_t bytes, event_list& out) override;
   void free_device(int device, void* p, const event_list& deps,
                    event_list& dangling) override;
@@ -273,7 +280,10 @@ class graph_backend final : public backend_iface {
   /// The one capture graph, rebuilt every epoch and cleared after it.
   cudasim::graph graph_;
   bool open_ = false;         ///< an epoch is under construction in graph_
-  std::uint64_t epoch_ = 0;   ///< id of epoch under construction
+  /// Serial of the next graph event, and the first serial of the epoch
+  /// under construction: graph events at or above it belong to that epoch.
+  std::uint64_t next_serial_ = 1;
+  std::uint64_t epoch_first_ = 1;
   std::uint64_t summary_ = 1469598103934665603ull;  ///< FNV accumulator
   event_list external_deps_;  ///< real-stream events the epoch launch waits on
   /// run()'s current-epoch dependency nodes (scratch; every call arrives
@@ -284,38 +294,7 @@ class graph_backend final : public backend_iface {
                      std::vector<std::unique_ptr<cudasim::graph_exec>>>
       cache_;
   retry_policy retry_;  ///< governs refused-epoch relaunch attempts/backoff
-  std::shared_ptr<backend_event> last_epoch_done_;  ///< stream_event of last flush
+  event last_epoch_done_;  ///< epoch stream tail of the last flush
 };
-
-/// Concrete event types (exposed for tests).
-struct stream_event final : backend_event {
-  explicit stream_event(cudasim::platform& p)
-      : backend_event(event_kind::stream), ev(p) {}
-  cudasim::event ev;
-
-  bool completed() const override { return ev.query(); }
-  /// Simulated streams are in-order, so of two events recorded on the same
-  /// stream the later one dominates (§IV completed/duplicate pruning).
-  std::uint64_t lane() const override { return ev.record_stream_uid(); }
-  std::uint64_t seq() const override { return ev.record_seq(); }
-};
-
-struct graph_node_event final : backend_event {
-  graph_node_event() : backend_event(event_kind::graph_node) {}
-  cudasim::graph_node node;
-  std::uint64_t epoch = 0;
-};
-
-/// Tagged downcast helpers for the submission hot path (no RTTI).
-inline stream_event* as_stream_event(const event_ptr& e) {
-  return e->kind() == backend_event::event_kind::stream
-             ? static_cast<stream_event*>(e.get())
-             : nullptr;
-}
-inline graph_node_event* as_graph_event(const event_ptr& e) {
-  return e->kind() == backend_event::event_kind::graph_node
-             ? static_cast<graph_node_event*>(e.get())
-             : nullptr;
-}
 
 }  // namespace cudastf

@@ -149,7 +149,7 @@ struct context_state {
   /// at the first copy. The routing score uses a bucket's size as that
   /// source's copy-engine occupancy (transfer.cpp, outstanding_from).
   struct outbound_bucket {
-    std::vector<event_ptr> copies;  ///< last-segment completion events
+    std::vector<event> copies;  ///< last-segment completion events
     std::uint64_t pruned_at = 0;    ///< ops_completed() at the last prune
   };
   std::vector<outbound_bucket> xfer_outbound;

@@ -78,7 +78,7 @@ struct data_instance {
   double fill_ready_cost = 0.0;
   /// Per-chunk completion events of the fill; a tree child whose chunking
   /// matches depends chunk-by-chunk instead of on the whole fill.
-  std::vector<event_ptr> fill_chunks;
+  std::vector<event> fill_chunks;
 };
 
 /// Reference checksum of a logical data's contents at one write_version
@@ -112,7 +112,9 @@ class logical_data_impl {
   const std::string& name() const { return name_; }
   context_state& ctx() const { return *st_; }
 
-  /// Instance bookkeeping (used by the task machinery and tests).
+  /// Instance bookkeeping (used by the task machinery and tests). Host and
+  /// device places are found through their slot in O(1); other places by a
+  /// scan of instances().
   data_instance& instance_at(const data_place& place);
   data_instance* find_instance(const data_place& place);
   std::size_t instance_count() const { return instances_.size(); }
@@ -156,7 +158,13 @@ class logical_data_impl {
   std::size_t elements_;
   std::size_t bytes_;
   std::string name_;
+  /// Owns every instance, in creation order (source picking, routing and
+  /// eviction iterate it, so the order is part of their choices).
   std::vector<std::unique_ptr<data_instance>> instances_;
+  /// Lookup slots into instances_: the host instance, and one per device
+  /// index (grown on the first instance of a device; null until then).
+  data_instance* host_slot_ = nullptr;
+  std::vector<data_instance*> device_slots_;
 };
 
 using data_impl_ptr = std::shared_ptr<logical_data_impl>;

@@ -46,10 +46,6 @@
 
 #include "cudastf/events.hpp"
 
-namespace cudasim {
-struct op_node;
-}
-
 namespace cudastf {
 
 struct context_state;
@@ -78,7 +74,7 @@ class deadline_monitor {
   /// One tracked submission.
   struct entry {
     /// Completion event of the submission (tail of its done list).
-    event_ptr done;
+    event done;
     /// Absolute virtual-time deadline; +inf for window-only tracking.
     double deadline_abs = std::numeric_limits<double>::infinity();
     /// Relative deadline it was armed with (re-applied on extension).

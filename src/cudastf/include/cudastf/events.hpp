@@ -11,18 +11,39 @@
 // completed, and events dominated by a later event recorded on the same
 // in-order stream. Pruning keeps lists tiny and directly shrinks the
 // dependencies the backends must wire.
+// Abstract events and event lists (§IV). The entire core of CUDASTF is
+// organized around lists of abstract events: every asynchronous algorithm
+// takes a list of input events and returns a list of output events.
+// Backends materialize events differently — the stream backend as recorded
+// simulated CUDA events, the graph backend as graph-node handles — and the
+// coherence machinery never looks inside.
+//
+// An event is a small tagged value, as cheap to copy as a cudaEvent_t
+// handle: no heap object, no refcount. A stream event is a cudasim::event,
+// whose completion test reads one counter while nothing has completed since
+// it was recorded (cudasim/stream.hpp). A graph event names a node of the
+// graph under construction.
+//
+// Lists are small (typically 0–4 entries), so storage is an inline buffer
+// that only spills to the heap for pathological fan-in. Merging prunes
+// redundant entries (§IV): exact duplicates, events whose work has already
+// completed, and events dominated by a later event recorded on the same
+// in-order stream. Pruning keeps lists tiny and directly shrinks the
+// dependencies the backends must wire.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <utility>
+#include <cstring>
+#include <type_traits>
+
+#include "cudasim/platform.hpp"
 
 namespace cudastf {
 
-/// Tuning knobs for the event-list fast path. Process-global; tests and the
-/// ablation benches flip these to compare against the naive concatenating
-/// behavior (simulated timelines must be identical either way).
+/// Tuning knobs for the event-list fast path. Process-global; only
+/// test_fastpath flips them, as the reference that pruning is a pure
+/// transformation (simulated timelines must be identical either way).
 struct fastpath_config {
   bool dedup = true;            ///< drop exact duplicate events on merge
   bool prune_completed = true;  ///< drop events the timeline already retired
@@ -34,47 +55,82 @@ inline fastpath_config& fastpath() {
   return cfg;
 }
 
-/// An abstract completion event. Concrete subclasses live in the backends.
-class backend_event {
+/// An abstract completion event: empty, a recorded simulator event, or a
+/// node of the graph backend's epoch under construction.
+class event {
  public:
-  /// Backend tag, replacing dynamic_cast on the submission hot path.
-  enum class event_kind : std::uint8_t { other, stream, graph_node };
+  enum class kind : std::uint8_t { none, stream, graph };
 
-  virtual ~backend_event() = default;
+  event() : sim_() {}
+  explicit event(const cudasim::event& e) : sim_(e), kind_(kind::stream) {}
+  /// `serial` is unique among one graph backend's events and increases with
+  /// submission order, so it also tells which epoch the node belongs to.
+  event(cudasim::graph_node node, std::uint64_t serial)
+      : graph_{serial, node}, kind_(kind::graph) {}
 
-  event_kind kind() const { return kind_; }
+  explicit operator bool() const { return kind_ != kind::none; }
+  kind type() const { return kind_; }
 
   /// True once the work this event guards has completed; such events can be
-  /// dropped from any list.
-  virtual bool completed() const { return false; }
+  /// dropped from any list. Graph events have no individual completion.
+  bool completed() const { return kind_ == kind::stream && sim_.query(); }
 
   /// Dominance key: events sharing a nonzero lane() are totally ordered by
   /// seq() (an in-order stream), so the largest seq() subsumes the rest.
   /// Lane 0 means "not comparable".
-  virtual std::uint64_t lane() const { return 0; }
-  virtual std::uint64_t seq() const { return 0; }
+  std::uint64_t lane() const {
+    return kind_ == kind::stream ? sim_.record_stream_uid() : 0;
+  }
+  std::uint64_t seq() const {
+    switch (kind_) {
+      case kind::stream:
+        return sim_.node_id();
+      case kind::graph:
+        return graph_.serial;
+      case kind::none:
+        break;
+    }
+    return 0;
+  }
 
- protected:
-  backend_event() = default;
-  explicit backend_event(event_kind k) : kind_(k) {}
+  /// The simulator event (stream events only).
+  const cudasim::event& sim() const { return sim_; }
+  /// The graph node and its serial (graph events only).
+  cudasim::graph_node graph_node() const { return graph_.node; }
+  std::uint64_t serial() const { return graph_.serial; }
+
+  /// Identity: the same recorded point of a stream, or the same
+  /// graph-backend event.
+  friend bool operator==(const event& a, const event& b) {
+    return a.kind_ == b.kind_ && a.lane() == b.lane() && a.seq() == b.seq();
+  }
 
  private:
-  event_kind kind_ = event_kind::other;
+  struct graph_ref {
+    std::uint64_t serial;
+    cudasim::graph_node node;
+  };
+  union {
+    cudasim::event sim_;  ///< kind::stream
+    graph_ref graph_;     ///< kind::graph
+  };
+  kind kind_ = kind::none;
 };
 
-using event_ptr = std::shared_ptr<backend_event>;
+static_assert(std::is_trivially_copyable_v<event> && sizeof(event) == 48);
 
 /// A list of abstract events; completion of the list means completion of
 /// every member. Inline capacity matches the "typically 0–4 entries"
-/// invariant; copies are refcount bumps, moves are pointer steals.
+/// invariant; events are trivially copyable values, so copies are plain
+/// element copies and moves of a spilled list are pointer steals.
 class event_list {
  public:
   static constexpr std::size_t inline_capacity = 4;
 
   event_list() = default;
-  explicit event_list(event_ptr e) {
+  explicit event_list(const event& e) {
     if (e) {
-      data_[size_++] = std::move(e);
+      data_[size_++] = e;
     }
   }
 
@@ -82,61 +138,58 @@ class event_list {
   event_list(event_list&& o) noexcept { move_from(o); }
   event_list& operator=(const event_list& o) {
     if (this != &o) {
-      clear_storage();
+      release_heap();
       copy_from(o);
     }
     return *this;
   }
   event_list& operator=(event_list&& o) noexcept {
     if (this != &o) {
-      clear_storage();
+      release_heap();
       move_from(o);
     }
     return *this;
   }
-  ~event_list() { delete[] heap_; }
+  ~event_list() { release_heap(); }
 
   /// Inserts `e` unless it is redundant. Returns the number of events this
   /// insertion pruned (the incoming one, or a dominated resident entry).
-  std::size_t add(event_ptr e) {
+  std::size_t add(const event& e) {
     if (!e) {
       return 0;
     }
     const fastpath_config& cfg = fastpath();
-    if (cfg.prune_completed && e->completed()) {
+    if (cfg.prune_completed && e.completed()) {
       return 1;
     }
-    const std::uint64_t lane = cfg.prune_dominated ? e->lane() : 0;
+    const std::uint64_t lane = cfg.prune_dominated ? e.lane() : 0;
     if (cfg.dedup || lane != 0) {
       for (std::size_t i = 0; i < size_; ++i) {
-        event_ptr& cur = data_[i];
+        event& cur = data_[i];
         if (cfg.dedup && cur == e) {
           return 1;
         }
-        if (lane != 0 && cur->lane() == lane) {
-          if (e->seq() <= cur->seq()) {
-            return 1;  // incoming is (or is covered by) the resident event
+        if (lane != 0 && cur.lane() == lane) {
+          if (e.seq() > cur.seq()) {
+            cur = e;  // incoming dominates the resident event
           }
-          cur = std::move(e);  // incoming dominates the resident event
-          return 1;
+          return 1;  // otherwise incoming is covered by the resident event
         }
       }
     }
+    std::size_t pruned = 0;
     if (size_ == cap_) {
       // Before spilling to the heap, try to compact away entries whose work
       // has since completed — lists usually stay within the inline buffer.
-      std::size_t pruned = 0;
       if (cfg.prune_completed) {
         pruned = prune_completed_entries();
       }
       if (size_ == cap_) {
         grow(cap_ * 2);
       }
-      data_[size_++] = std::move(e);
-      return pruned;
     }
-    data_[size_++] = std::move(e);
-    return 0;
+    data_[size_++] = e;
+    return pruned;
   }
 
   /// l = merge(l, other) — the paper's fundamental composition primitive.
@@ -153,18 +206,12 @@ class event_list {
   std::size_t prune_completed_entries() {
     std::size_t kept = 0;
     for (std::size_t i = 0; i < size_; ++i) {
-      if (!data_[i]->completed()) {
-        if (kept != i) {
-          data_[kept] = std::move(data_[i]);
-        }
-        ++kept;
+      if (!data_[i].completed()) {
+        data_[kept++] = data_[i];
       }
     }
     const std::size_t pruned = size_ - kept;
-    for (std::size_t i = kept; i < size_; ++i) {
-      data_[i].reset();
-    }
-    size_ = kept;
+    size_ = static_cast<std::uint32_t>(kept);
     return pruned;
   }
 
@@ -174,78 +221,62 @@ class event_list {
     }
   }
 
-  void clear() {
-    for (std::size_t i = 0; i < size_; ++i) {
-      data_[i].reset();
-    }
-    size_ = 0;
-  }
+  void clear() { size_ = 0; }
 
   bool empty() const { return size_ == 0; }
   std::size_t size() const { return size_; }
 
-  const event_ptr* begin() const { return data_; }
-  const event_ptr* end() const { return data_ + size_; }
+  const event* begin() const { return data_; }
+  const event* end() const { return data_ + size_; }
 
  private:
+  bool spilled() const { return data_ != inline_; }
+
   void grow(std::size_t new_cap) {
-    event_ptr* p = new event_ptr[new_cap];
-    for (std::size_t i = 0; i < size_; ++i) {
-      p[i] = std::move(data_[i]);
+    event* p = new event[new_cap];
+    std::memcpy(static_cast<void*>(p), data_, size_ * sizeof(event));
+    if (spilled()) {
+      delete[] data_;
     }
-    delete[] heap_;
-    heap_ = p;
     data_ = p;
-    cap_ = new_cap;
+    cap_ = static_cast<std::uint32_t>(new_cap);
   }
 
   void copy_from(const event_list& o) {
     if (o.size_ > cap_) {
       grow(o.size_);
     }
-    for (std::size_t i = 0; i < o.size_; ++i) {
-      data_[i] = o.data_[i];
-    }
+    std::memcpy(static_cast<void*>(data_), o.data_, o.size_ * sizeof(event));
     size_ = o.size_;
   }
 
   void move_from(event_list& o) noexcept {
-    if (o.heap_ != nullptr) {
-      heap_ = o.heap_;
-      data_ = o.heap_;
+    if (o.spilled()) {
+      data_ = o.data_;
       cap_ = o.cap_;
-      size_ = o.size_;
-      o.heap_ = nullptr;
       o.data_ = o.inline_;
       o.cap_ = inline_capacity;
-      o.size_ = 0;
     } else {
-      for (std::size_t i = 0; i < o.size_; ++i) {
-        data_[i] = std::move(o.data_[i]);
-        o.data_[i].reset();
-      }
-      size_ = o.size_;
-      o.size_ = 0;
+      std::memcpy(static_cast<void*>(data_), o.data_, o.size_ * sizeof(event));
     }
+    size_ = o.size_;
+    o.size_ = 0;
   }
 
-  /// Resets to the empty inline state (keeps no heap block).
-  void clear_storage() {
-    for (std::size_t i = 0; i < size_; ++i) {
-      data_[i].reset();
-    }
+  /// Returns to the empty inline state (keeps no heap block).
+  void release_heap() {
     size_ = 0;
-    delete[] heap_;
-    heap_ = nullptr;
-    data_ = inline_;
+    if (spilled()) {
+      delete[] data_;
+      data_ = inline_;
+    }
     cap_ = inline_capacity;
   }
 
-  event_ptr inline_[inline_capacity];
-  event_ptr* heap_ = nullptr;
-  event_ptr* data_ = inline_;
-  std::size_t size_ = 0;
-  std::size_t cap_ = inline_capacity;
+  event inline_[inline_capacity];
+  event* data_ = inline_;
+  std::uint32_t size_ = 0;
+  std::uint32_t cap_ = inline_capacity;
 };
 
 /// Convenience: merged copy of two lists.

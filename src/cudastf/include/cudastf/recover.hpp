@@ -76,7 +76,7 @@ bool filter_blacklisted(context_state& st, int* devices, std::size_t& n);
 
 /// Outcome of run_resilient.
 struct resilient_result {
-  event_ptr ev;  ///< completion event (always recorded, meaningful on success)
+  event ev;  ///< completion event (always recorded, meaningful on success)
   cudasim::sim_status status = cudasim::sim_status::success;
   bool partial = false;
   int attempts = 1;

@@ -79,7 +79,7 @@ void integrity_engine::on_write_release(context_state& st,
   const std::size_t n = d.bytes();
   const std::uint64_t ver = d.write_version;
   cudasim::platform* plat = st.plat;
-  event_ptr ev = st.backend->run(
+  const event ev = st.backend->run(
       0, backend_iface::channel::host, done,
       [plat, entry, p, n, ver](cudasim::stream& s) {
         // The entry is shared: if the logical data dies before the body
@@ -307,12 +307,8 @@ event_list run_verified(context_state& st, int device, const event_list& ready,
   }
 
   auto exec = [&](const event_list& wait_first) {
-    event_ptr ev = st.backend->run(device, backend_iface::channel::compute,
-                                   wait_first, payload, symbol);
-    event_list done;
-    if (ev) {
-      done.add(std::move(ev));
-    }
+    event_list done(st.backend->run(device, backend_iface::channel::compute,
+                                    wait_first, payload, symbol));
     st.backend->wait(done);
     return done;
   };

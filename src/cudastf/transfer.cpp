@@ -66,8 +66,8 @@ bool fill_in_flight(const logical_data_impl& d, const data_instance& inst) {
   if (!inst.fill_pending || inst.fill_version != d.write_version) {
     return false;
   }
-  for (const event_ptr& e : inst.fill_chunks) {
-    if (e && !e->completed()) {
+  for (const event& e : inst.fill_chunks) {
+    if (e && !e.completed()) {
       return true;
     }
   }
@@ -93,7 +93,7 @@ std::size_t outstanding_from(context_state& st, int device) {
   context_state::outbound_bucket& b = st.xfer_outbound[slot];
   const std::uint64_t completed = st.plat->ops_completed();
   if (b.pruned_at != completed) {
-    std::erase_if(b.copies, [](const event_ptr& e) { return e->completed(); });
+    std::erase_if(b.copies, [](const event& e) { return e.completed(); });
     b.pruned_at = completed;
   }
   return b.copies.size();
@@ -126,9 +126,8 @@ std::size_t plan_chunks(const transfer_config& cfg, std::size_t bytes) {
 /// transfer_error when retries are exhausted, the status is not transient,
 /// or the submission was partial (backend.hpp: a partially-executed payload
 /// must never be retried — the prefix would run twice).
-event_ptr run_transfer_op(context_state& st, int run_dev,
-                          const event_list& deps,
-                          std::function<void(cudasim::stream&)> payload) {
+event run_transfer_op(context_state& st, int run_dev, const event_list& deps,
+                      std::function<void(cudasim::stream&)> payload) {
   if (!st.fault_aware()) {
     return st.backend->run(run_dev, backend_iface::channel::transfer, deps,
                            payload, "transfer");
@@ -136,8 +135,8 @@ event_ptr run_transfer_op(context_state& st, int run_dev,
   run_result rr;
   double backoff = st.retry.backoff_seconds;
   for (int attempt = 1;; ++attempt) {
-    event_ptr ev = st.backend->run(run_dev, backend_iface::channel::transfer,
-                                   deps, payload, "transfer", &rr);
+    event ev = st.backend->run(run_dev, backend_iface::channel::transfer,
+                               deps, payload, "transfer", &rr);
     if (rr.status == cudasim::sim_status::success) {
       return ev;
     }
@@ -242,7 +241,7 @@ event_list issue_copy(context_state& st, logical_data_impl& d,
   }
 
   event_list evs;
-  std::vector<event_ptr> chunk_evs;
+  std::vector<event> chunk_evs;
   chunk_evs.reserve(nchunks);
   try {
     for (std::size_t i = 0; i < nchunks; ++i) {
@@ -266,9 +265,9 @@ event_list issue_copy(context_state& st, logical_data_impl& d,
           plat->memcpy_async(to, from, seg, kind, s);
         };
       }
-      event_ptr ev = run_transfer_op(st, run_dev, deps, std::move(payload));
+      const event ev = run_transfer_op(st, run_dev, deps, std::move(payload));
       chunk_evs.push_back(ev);
-      evs.add(std::move(ev));
+      evs.add(ev);
     }
   } catch (...) {
     // Accepted segments keep running; they must guard the source buffer
@@ -296,9 +295,9 @@ event_list issue_copy(context_state& st, logical_data_impl& d,
   dst.fill_chunks = std::move(chunk_evs);
   // A copy that already retired occupies no engine. Leaving it out keeps
   // an unchanged completion counter meaning "bucket still exact".
-  const event_ptr last = dst.fill_chunks.empty() ? nullptr
-                                                 : dst.fill_chunks.back();
-  if (last && !last->completed()) {
+  const event last =
+      dst.fill_chunks.empty() ? event() : dst.fill_chunks.back();
+  if (last && !last.completed()) {
     if (st.xfer_outbound.empty()) {
       st.xfer_outbound.resize(
           static_cast<std::size_t>(plat->device_count()) + 1);

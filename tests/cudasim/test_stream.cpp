@@ -207,16 +207,39 @@ TEST(Stream, ManyOpsGetReclaimed) {
   EXPECT_EQ(p.ops_completed(), 20000u);
 }
 
-// --- event registry ---------------------------------------------------
+// --- events as plain values --------------------------------------------
 //
-// Every live event is linked into its platform's registry, so a
-// synchronize() drops the event's pointer to its completed node however
-// the event was created, moved or destroyed. An event the registry lost
-// would keep pointing at a node the timeline recycles.
+// An event keeps its recorded node with the node's id and needs no
+// registration: however it was copied, moved or destroyed, it reads
+// complete once its work ran, and keeps reading complete after gc() hands
+// its node to unrelated new work.
 
-bool collected(const event& e) { return e.node() == nullptr; }
+// Runs a little new work on `s`, which the pool serves from the nodes the
+// last synchronize() recycled, and checks that every event in `old` still
+// reads complete while an event recorded on the new work reads pending.
+void expect_complete_across_recycling(platform& p, stream& s,
+                                      const std::vector<const event*>& old) {
+  const std::uint64_t pooled = p.nodes_pooled();
+  for (int i = 0; i < 4; ++i) {
+    p.launch_kernel(s, {.name = "k"}, {});
+  }
+  event fresh(p);
+  fresh.record(s);
+  ASSERT_GT(p.nodes_pooled(), pooled);  // the new work runs on recycled nodes
+  EXPECT_FALSE(fresh.query());
+  ASSERT_NE(fresh.pending_node(), nullptr);
+  for (const event* e : old) {
+    EXPECT_TRUE(e->query());
+    EXPECT_EQ(e->pending_node(), nullptr);
+  }
+  s.synchronize();
+  EXPECT_TRUE(fresh.query());
+  for (const event* e : old) {
+    EXPECT_TRUE(e->query());
+  }
+}
 
-TEST(EventRegistry, MovedEventsStayRegistered) {
+TEST(EventValue, MovedEventsReadCompleteAfterSynchronize) {
   platform p(1, small_desc());
   stream s(p);
   std::vector<event> events;  // growth moves the earlier events
@@ -226,15 +249,18 @@ TEST(EventRegistry, MovedEventsStayRegistered) {
     events.back().record(s);
   }
   event moved(std::move(events[3]));
-  EXPECT_FALSE(collected(moved));  // its kernel has not run yet
+  EXPECT_FALSE(moved.query());  // its kernel has not run yet
   p.synchronize();
-  EXPECT_TRUE(collected(moved));
+  EXPECT_TRUE(moved.query());
+  std::vector<const event*> old{&moved};
   for (const event& e : events) {
-    EXPECT_TRUE(collected(e));
+    EXPECT_TRUE(e.query());
+    old.push_back(&e);
   }
+  expect_complete_across_recycling(p, s, old);
 }
 
-TEST(EventRegistry, DestructionOutOfCreationOrder) {
+TEST(EventValue, DestroyedOutOfOrderReadCompleteAfterSynchronize) {
   platform p(1, small_desc());
   stream s(p);
   std::vector<std::unique_ptr<event>> events;
@@ -246,8 +272,6 @@ TEST(EventRegistry, DestructionOutOfCreationOrder) {
   for (int i = 0; i < 24; ++i) {
     record_new();
   }
-  // Unlink from the head, the tail and the middle of the registry, then
-  // register more into the gaps.
   for (std::size_t i : {23u, 0u, 11u, 5u, 22u, 1u, 17u}) {
     events[i].reset();
   }
@@ -256,17 +280,18 @@ TEST(EventRegistry, DestructionOutOfCreationOrder) {
   }
   events[25].reset();
   p.synchronize();
-  std::size_t live = 0;
+  std::vector<const event*> old;
   for (const auto& e : events) {
     if (e != nullptr) {
-      EXPECT_TRUE(collected(*e));
-      ++live;
+      EXPECT_TRUE(e->query());
+      old.push_back(e.get());
     }
   }
-  EXPECT_EQ(live, 20u);
+  EXPECT_EQ(old.size(), 20u);
+  expect_complete_across_recycling(p, s, old);
 }
 
-TEST(EventRegistry, ConcurrentCreateDestroyWhileSynchronizing) {
+TEST(EventValue, ConcurrentQueriesWhileSynchronizing) {
   platform p(1, small_desc());
   constexpr int workers = 4;
   std::vector<stream> streams;
@@ -274,10 +299,14 @@ TEST(EventRegistry, ConcurrentCreateDestroyWhileSynchronizing) {
   for (int w = 0; w < workers; ++w) {
     streams.emplace_back(p);
   }
-  // Each worker keeps its last few events alive and destroys older ones,
-  // while another thread collects handles over and over.
+  // Each worker keeps its last few events, destroys older ones and queries
+  // the kept ones lock-free, while another thread drains, sweeps and
+  // recycles nodes over and over — so queries race gc() handing their
+  // nodes to the other workers' new kernels. A query that once read
+  // complete must never read pending again.
   std::vector<std::vector<std::unique_ptr<event>>> kept(workers);
   std::atomic<bool> done{false};
+  std::atomic<int> flipped_back{0};
   std::thread syncer([&] {
     while (!done.load()) {
       p.synchronize();
@@ -287,12 +316,24 @@ TEST(EventRegistry, ConcurrentCreateDestroyWhileSynchronizing) {
   for (int w = 0; w < workers; ++w) {
     threads.emplace_back([&, w] {
       std::vector<std::unique_ptr<event>>& mine = kept[w];
+      std::vector<bool> seen_complete;
       for (int i = 0; i < 300; ++i) {
         p.launch_kernel(streams[w], {.name = "k"}, {});
         mine.push_back(std::make_unique<event>(p));
         mine.back()->record(streams[w]);
+        seen_complete.push_back(false);
         if (mine.size() > 4) {
-          mine.erase(mine.begin() + (i % 4));
+          const std::size_t victim = static_cast<std::size_t>(i % 4);
+          mine.erase(mine.begin() + static_cast<std::ptrdiff_t>(victim));
+          seen_complete.erase(seen_complete.begin() +
+                              static_cast<std::ptrdiff_t>(victim));
+        }
+        for (std::size_t k = 0; k < mine.size(); ++k) {
+          const bool now = mine[k]->query();
+          if (seen_complete[k] && !now) {
+            flipped_back.fetch_add(1);
+          }
+          seen_complete[k] = seen_complete[k] || now;
         }
       }
     });
@@ -303,12 +344,16 @@ TEST(EventRegistry, ConcurrentCreateDestroyWhileSynchronizing) {
   done = true;
   syncer.join();
   p.synchronize();
+  EXPECT_EQ(flipped_back.load(), 0);
+  std::vector<const event*> old;
   for (const auto& mine : kept) {
     ASSERT_EQ(mine.size(), 4u);
     for (const auto& e : mine) {
-      EXPECT_TRUE(collected(*e));
+      EXPECT_TRUE(e->query());
+      old.push_back(e.get());
     }
   }
+  expect_complete_across_recycling(p, streams[0], old);
 }
 
 }  // namespace

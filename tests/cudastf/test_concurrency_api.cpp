@@ -157,13 +157,16 @@ TEST(Api, StatsCountersAdvance) {
 }
 
 TEST(Api, EventListMergeAndClear) {
+  cudasim::platform p(1, cudasim::test_desc());
+  cudasim::stream s1(p), s2(p);
+  p.launch_kernel(s1, {.name = "k"}, {});
+  p.launch_kernel(s2, {.name = "k"}, {});
   event_list a, b;
   EXPECT_TRUE(a.empty());
-  a.add(nullptr);  // null events are dropped
+  a.add(event{});  // empty events are dropped
   EXPECT_TRUE(a.empty());
-  struct dummy_event : backend_event {};
-  a.add(std::make_shared<dummy_event>());
-  b.add(std::make_shared<dummy_event>());
+  a.add(record_event(s1));  // pending, on two different streams
+  b.add(record_event(s2));
   b.merge(a);
   EXPECT_EQ(b.size(), 2u);
   // merged() deduplicates: b already contains a's event, so the result
@@ -171,6 +174,7 @@ TEST(Api, EventListMergeAndClear) {
   EXPECT_EQ(merged(a, b).size(), 2u);
   b.clear();
   EXPECT_TRUE(b.empty());
+  p.synchronize();
 }
 
 }  // namespace

@@ -26,40 +26,31 @@ struct fastpath_guard {
   ~fastpath_guard() { fastpath() = saved; }
 };
 
-// Records a pending stream_event on `s` (the stream must have undrained
-// work, otherwise the event completes immediately).
-std::shared_ptr<stream_event> record_on(cudasim::platform& p,
-                                        cudasim::stream& s) {
-  auto e = std::make_shared<stream_event>(p);
-  e->ev.record(s);
-  return e;
-}
-
 TEST(Fastpath, SameStreamMergeKeepsOnlyLaterEvent) {
   cudasim::platform p(1, tdesc());
   cudasim::stream s(p);
   int hits = 0;
   p.launch_kernel(s, {.name = "k"}, [&] { ++hits; });
-  auto e1 = record_on(p, s);
+  auto e1 = record_event(s);
   p.launch_kernel(s, {.name = "k"}, [&] { ++hits; });
-  auto e2 = record_on(p, s);
-  ASSERT_FALSE(e1->completed());
-  ASSERT_EQ(e1->lane(), e2->lane());
-  ASSERT_LT(e1->seq(), e2->seq());
+  auto e2 = record_event(s);
+  ASSERT_FALSE(e1.completed());
+  ASSERT_EQ(e1.lane(), e2.lane());
+  ASSERT_LT(e1.seq(), e2.seq());
 
   // Earlier first: the later event replaces the resident one.
   event_list fwd;
   EXPECT_EQ(fwd.add(e1), 0u);
   EXPECT_EQ(fwd.add(e2), 1u);
   ASSERT_EQ(fwd.size(), 1u);
-  EXPECT_EQ((*fwd.begin())->seq(), e2->seq());
+  EXPECT_EQ(fwd.begin()->seq(), e2.seq());
 
   // Later first: the earlier event is dropped on arrival.
   event_list rev;
   EXPECT_EQ(rev.add(e2), 0u);
   EXPECT_EQ(rev.add(e1), 1u);
   ASSERT_EQ(rev.size(), 1u);
-  EXPECT_EQ((*rev.begin())->seq(), e2->seq());
+  EXPECT_EQ(rev.begin()->seq(), e2.seq());
 
   s.synchronize();
   EXPECT_EQ(hits, 2);
@@ -71,9 +62,9 @@ TEST(Fastpath, DominancePruningCanBeDisabled) {
   cudasim::platform p(1, tdesc());
   cudasim::stream s(p);
   p.launch_kernel(s, {.name = "k"}, [] {});
-  auto e1 = record_on(p, s);
+  auto e1 = record_event(s);
   p.launch_kernel(s, {.name = "k"}, [] {});
-  auto e2 = record_on(p, s);
+  auto e2 = record_event(s);
   event_list l;
   l.add(e1);
   l.add(e2);
@@ -85,9 +76,9 @@ TEST(Fastpath, CompletedEventsArePruned) {
   cudasim::platform p(1, tdesc());
   cudasim::stream s(p);
   p.launch_kernel(s, {.name = "k"}, [] {});
-  auto e = record_on(p, s);
+  auto e = record_event(s);
   s.synchronize();  // drains: the event's work is done
-  ASSERT_TRUE(e->completed());
+  ASSERT_TRUE(e.completed());
   event_list l;
   EXPECT_EQ(l.add(e), 1u);
   EXPECT_TRUE(l.empty());

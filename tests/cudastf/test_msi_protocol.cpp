@@ -3,9 +3,12 @@
 // write-back, and the transfer-minimization guarantees (cache hits).
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
+#include "cudastf/context_state.hpp"
 #include "cudastf/cudastf.hpp"
+#include "cudastf/mem_engine.hpp"
 
 namespace {
 
@@ -150,6 +153,67 @@ TEST(Msi, ExplicitPlaceReusesInstanceAcrossTasks) {
   // One host instance plus exactly one device-1 instance; never a dev-0 one.
   EXPECT_EQ(ld.impl()->instance_count(), 2u);
   ctx.finalize();
+}
+
+// Host and device instances are found through per-place slots, composite
+// ones by a scan; every lookup must return what a scan of instances() in
+// creation order finds, and the slots must not disturb that order.
+TEST(InstanceSlots, AgreeWithCreationOrderScan) {
+  cudasim::scoped_platform sp(4, tdesc());
+  context ctx(sp.get());
+  double v[8] = {1};
+  auto ld = ctx.logical_data(v, "v");  // the host instance comes first
+  logical_data_impl& d = *ld.impl();
+  auto part = std::make_shared<const blocked_partitioner>();
+  const data_place comp = data_place::composite({{0, 1}, part, part->key()});
+  const std::vector<data_place> order{data_place::host(), data_place::device(2),
+                                      data_place::device(0),
+                                      data_place::device(3), comp};
+  for (std::size_t i = 1; i < order.size(); ++i) {
+    d.instance_at(order[i]);
+  }
+  const auto scan = [&d](const data_place& p) -> data_instance* {
+    for (const auto& inst : d.instances()) {
+      if (inst->place == p) {
+        return inst.get();
+      }
+    }
+    return nullptr;
+  };
+  ASSERT_EQ(d.instance_count(), order.size());
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    EXPECT_TRUE(d.instances()[i]->place == order[i]) << i;
+    data_instance* found = d.find_instance(order[i]);
+    ASSERT_NE(found, nullptr) << i;
+    EXPECT_EQ(found, scan(order[i])) << i;
+    EXPECT_EQ(&d.instance_at(order[i]), found) << i;
+  }
+  EXPECT_EQ(d.instance_count(), order.size());  // found, none created
+
+  // Missing places: a device below the highest slot, one beyond every
+  // slot, and a composite over another grid.
+  EXPECT_EQ(d.find_instance(data_place::device(1)), nullptr);
+  EXPECT_EQ(d.find_instance(data_place::device(7)), nullptr);
+  EXPECT_EQ(d.find_instance(data_place::composite({{0, 1, 2}, part,
+                                                   part->key()})),
+            nullptr);
+
+  // Evict device 0's replica and refill it: the slot still finds the same
+  // instance, now valid again.
+  data_instance* on0 = d.find_instance(data_place::device(0));
+  ctx.task(exec_place::device(0), ld.read())->*
+      [](cudasim::stream&, slice<const double>) {};
+  ASSERT_EQ(on0->state, msi_state::shared);
+  release_device_instance(d.ctx(), d, *on0, /*recycle=*/true);
+  EXPECT_FALSE(on0->allocated);
+  ctx.task(exec_place::device(0), ld.read())->*
+      [](cudasim::stream&, slice<const double>) {};
+  EXPECT_EQ(d.find_instance(data_place::device(0)), on0);
+  EXPECT_EQ(scan(data_place::device(0)), on0);
+  EXPECT_TRUE(on0->allocated);
+  EXPECT_EQ(on0->state, msi_state::shared);
+  EXPECT_EQ(d.instance_count(), order.size());
+  EXPECT_TRUE(ctx.finalize().ok());
 }
 
 }  // namespace
